@@ -445,20 +445,6 @@ class _Shutdown(Exception):
     """SIGTERM/SIGINT during ``serve`` — triggers the graceful drain."""
 
 
-def _serve_type_registry(scenario_name: str) -> dict:
-    if scenario_name == "traffic":
-        from repro.linearroad.schema import type_registry
-
-        return type_registry()
-    if scenario_name == "pam":
-        from repro.pam.schema import type_registry
-
-        return type_registry()
-    from repro.difftest.scenarios import DIFF_READING
-
-    return {DIFF_READING.name: DIFF_READING}
-
-
 def _parse_hostport(value: str) -> tuple[str, int]:
     host, sep, port = value.rpartition(":")
     if not sep or not port.isdigit():
@@ -466,22 +452,87 @@ def _parse_hostport(value: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _serve_network(args: argparse.Namespace, engine, types: dict) -> int:
-    """``repro serve --listen/--http``: network front ends, no stdin loop.
+def _serve_stdin(service, resolver) -> None:
+    """The stdin transport of the serve line protocol.
 
-    Runs until SIGTERM/SIGINT or an inline ``{"op": "stop"}``, then
-    drains gracefully and (with ``--summary``) reports to stderr.
-    Bound addresses are announced on stderr as ``listening on H:P`` /
-    ``http on H:P`` so callers can bind to port 0 and discover.
+    Lines are decoded by the same ``parse_line`` and ops applied by the
+    same ``apply_op`` as on TCP and HTTP; replies — op acknowledgements
+    and coded errors for rejected lines — go to stderr as the protocol's
+    JSON reply lines, and ingestion continues after a rejected line.
+    Returns on EOF or an inline ``{"op": "stop"}``.
+    """
+    from repro.net.protocol import (
+        ERR_BAD_OP,
+        ProtocolError,
+        apply_op,
+        error_reply,
+        ok_reply,
+        parse_line,
+    )
+
+    for line in sys.stdin:
+        if not line.strip():
+            continue
+        try:
+            parsed = parse_line(line, resolver)
+        except ProtocolError as err:
+            print(err.reply(), file=sys.stderr)
+            continue
+        if parsed.kind == "event":
+            # unguarded: a stopped or crashed service ends the loop
+            # instead of being reported line after line
+            service.submit(parsed.event)
+            continue
+        try:
+            reply = ok_reply(**apply_op(service, parsed.op, resolver.types))
+        except ProtocolError as err:
+            reply = err.reply()
+        except CaesarError as err:  # a deploy/retire the engine refused
+            reply = error_reply(ERR_BAD_OP, str(err))
+        print(reply, file=sys.stderr)
+        if parsed.op["op"] == "stop":
+            return
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """``repro serve``: one service, one protocol, a transport per flag.
+
+    Without ``--listen``/``--http`` the protocol is read from stdin.
+    With them it runs until SIGTERM/SIGINT or an inline ``{"op":
+    "stop"}``; bound addresses are announced on stderr as ``listening on
+    H:P`` / ``http on H:P`` so callers can bind to port 0 and discover.
+    Every mode drains gracefully and (with ``--summary``) reports to
+    stderr.
     """
     import signal
     import threading
 
-    from repro.net import HttpFrontEnd, NetServer, TypeResolver
+    from repro.api import EngineConfig, create_engine
+    from repro.difftest.scenarios import get_scenario
+    from repro.net import (
+        HttpFrontEnd,
+        NetServer,
+        TypeResolver,
+        encode_event,
+        scenario_types,
+    )
     from repro.runtime.service import EngineService
 
-    resolver = TypeResolver(types)
+    scenario = get_scenario(args.scenario)
+    engine = create_engine(
+        scenario.build_model(),
+        EngineConfig(
+            backend=args.backend,
+            partition_by=scenario.partition_by,
+            retention=scenario.retention,
+        ),
+    )
+    resolver = TypeResolver(scenario_types(args.scenario))
     emit_sinks: list = []
+
+    def emit_stdout(event):
+        sys.stdout.write(encode_event(event) + "\n")
+        sys.stdout.flush()
 
     def emit(event):
         for sink in emit_sinks:
@@ -521,19 +572,8 @@ def _serve_network(args: argparse.Namespace, engine, types: dict) -> int:
                 bound = server.start()
                 print(f"listening on {bound[0]}:{bound[1]}", file=sys.stderr)
             else:
-                # http-only: no subscription channel, emissions go to
-                # stdout exactly like the stdin mode
-                import json as _json
-
-                def stdout_emit(event):
-                    sys.stdout.write(_json.dumps({
-                        "type": event.type_name,
-                        "time": event.timestamp,
-                        "payload": dict(event.payload),
-                    }, default=str) + "\n")
-                    sys.stdout.flush()
-
-                emit_sinks.append(stdout_emit)
+                # no subscription channel: emissions go to stdout
+                emit_sinks.append(emit_stdout)
             if args.http:
                 host, port = _parse_hostport(args.http)
                 front = HttpFrontEnd(
@@ -548,11 +588,16 @@ def _serve_network(args: argparse.Namespace, engine, types: dict) -> int:
                 bound = front.start()
                 print(f"http on {bound[0]}:{bound[1]}", file=sys.stderr)
             sys.stderr.flush()
-            stopper = (
-                server.stopped if server is not None else threading.Event()
-            )
-            stopper.wait()
-            print("stop requested, draining", file=sys.stderr)
+            if server is None and front is None:
+                _serve_stdin(service, resolver)
+            else:
+                stopper = (
+                    server.stopped
+                    if server is not None
+                    else threading.Event()
+                )
+                stopper.wait()
+                print("stop requested, draining", file=sys.stderr)
         except _Shutdown:
             print("signal received, draining", file=sys.stderr)
     finally:
@@ -564,109 +609,6 @@ def _serve_network(args: argparse.Namespace, engine, types: dict) -> int:
             report = server.shutdown(drain=True)
         else:
             report = service.stop()
-        engine.close()
-    if args.summary:
-        print(report.summary(), file=sys.stderr)
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-    import signal
-
-    from repro.api import EngineConfig, create_engine
-    from repro.difftest.scenarios import get_scenario
-    from repro.events.event import Event
-    from repro.events.types import EventType
-    from repro.language import parse_query
-    from repro.runtime.service import EngineService
-
-    scenario = get_scenario(args.scenario)
-    engine = create_engine(
-        scenario.build_model(),
-        EngineConfig(
-            backend=args.backend,
-            partition_by=scenario.partition_by,
-            retention=scenario.retention,
-        ),
-    )
-    types = dict(_serve_type_registry(args.scenario))
-    if args.listen or args.http:
-        return _serve_network(args, engine, types)
-
-    def resolve_type(name: str) -> EventType:
-        event_type = types.get(name)
-        if event_type is None:
-            event_type = EventType(name)
-            types[name] = event_type
-        return event_type
-
-    out = sys.stdout
-
-    def emit(event: Event) -> None:
-        out.write(json.dumps({
-            "type": event.type_name,
-            "time": event.timestamp,
-            "payload": dict(event.payload),
-        }, default=str) + "\n")
-        out.flush()
-
-    service = EngineService(
-        engine,
-        max_delay=args.max_delay,
-        queue_size=args.queue_size,
-        on_emit=emit,
-    )
-
-    def on_signal(signum, frame):  # pragma: no cover - signal timing
-        raise _Shutdown()
-
-    previous = {
-        sig: signal.signal(sig, on_signal)
-        for sig in (signal.SIGTERM, signal.SIGINT)
-    }
-    try:
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
-                continue
-            message = json.loads(line)
-            if "op" in message:
-                op = message["op"]
-                if op == "deploy":
-                    query = parse_query(
-                        message["query"],
-                        name=message.get("name", "deployed"),
-                        types=types,
-                    )
-                    watermark = service.deploy_query(query)
-                    print(
-                        f"deployed {query.name!r} at watermark {watermark}",
-                        file=sys.stderr,
-                    )
-                elif op == "retire":
-                    watermark = service.retire_query(message["name"])
-                    print(
-                        f"retired {message['name']!r} at watermark "
-                        f"{watermark}",
-                        file=sys.stderr,
-                    )
-                elif op == "stop":
-                    break
-                else:
-                    print(f"unknown op {op!r}", file=sys.stderr)
-                continue
-            service.submit(Event(
-                resolve_type(message["type"]),
-                message["time"],
-                dict(message.get("payload", {})),
-            ))
-    except _Shutdown:
-        print("signal received, draining", file=sys.stderr)
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-        report = service.stop()
         engine.close()
     if args.summary:
         print(report.summary(), file=sys.stderr)

@@ -1,10 +1,11 @@
 """Network ingestion front ends for the streaming service.
 
-``repro serve`` reads the line protocol on stdin; this package puts the
-same protocol on the network:
+``repro serve`` reads the line protocol on stdin; this package defines
+that protocol and puts it on the network:
 
-* :mod:`repro.net.protocol` — the line protocol itself (parsing,
-  replies, the limit-enforcing :class:`~repro.net.protocol.LineReader`);
+* :mod:`repro.net.protocol` — the line protocol itself, shared by all
+  three transports (line parsing, the control-op dispatcher, replies,
+  the limit-enforcing :class:`~repro.net.protocol.LineReader`);
 * :mod:`repro.net.server` — the TCP server
   (:class:`~repro.net.server.NetServer`): many concurrent producers,
   backpressure via TCP flow control, emission subscriptions, graceful
@@ -24,6 +25,7 @@ from repro.net.protocol import (
     LineTooLong,
     ProtocolError,
     TypeResolver,
+    apply_op,
     encode_event,
     event_row,
     parse_line,
@@ -42,6 +44,7 @@ __all__ = [
     "ServeClient",
     "ServeClientError",
     "TypeResolver",
+    "apply_op",
     "encode_event",
     "event_row",
     "parse_line",

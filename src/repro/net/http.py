@@ -32,7 +32,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
 
 from repro.errors import CaesarError, RuntimeEngineError
-from repro.language import parse_query
 from repro.net.protocol import (
     DEFAULT_MAX_LINE_BYTES,
     ERR_BAD_OP,
@@ -40,6 +39,7 @@ from repro.net.protocol import (
     ERR_UNKNOWN_OP,
     ProtocolError,
     TypeResolver,
+    apply_op,
     parse_line,
 )
 from repro.net.server import Resequencer
@@ -173,23 +173,14 @@ class HttpFrontEnd:
         return {"accepted": accepted, "rejected": rejected, "errors": errors}
 
     def _apply_op(self, message: dict) -> None:
-        op = message["op"]
-        if op == "deploy":
-            query = parse_query(
-                str(message.get("query", "")),
-                name=str(message.get("name", "deployed")),
-                types=getattr(self.resolve_type, "types", None),
-            )
-            self.service.deploy_query(query)
-        elif op == "retire":
-            name = message.get("name")
-            if not isinstance(name, str):
-                raise ProtocolError(ERR_BAD_OP, "retire needs a query 'name'")
-            self.service.retire_query(name)
-        else:
+        if message["op"] not in ("deploy", "retire"):
             raise ProtocolError(
-                ERR_UNKNOWN_OP, f"op {op!r} is not available over HTTP"
+                ERR_UNKNOWN_OP,
+                f"op {message['op']!r} is not available over HTTP",
             )
+        apply_op(
+            self.service, message, getattr(self.resolve_type, "types", None)
+        )
 
     def health(self) -> tuple[int, dict]:
         service = self.service

@@ -1,18 +1,24 @@
 """The line protocol spoken by every ingestion front end.
 
-One message per ``\\n``-terminated line, each a JSON object.  The
-protocol is exactly what ``repro serve`` already reads on stdin —
-putting it on a socket changes the transport, not the language:
+One message per ``\\n``-terminated line, each a JSON object.  There is one
+language and three *transports* for it — ``repro serve``'s stdin, the TCP
+server (:mod:`repro.net.server`) and ``POST /events``
+(:mod:`repro.net.http`).  A transport only moves lines and replies: every
+line is decoded by :func:`parse_line`, every control op is applied by
+:func:`apply_op`, every emission is encoded by :func:`encode_event`.
 
 * an **event**: ``{"type": ..., "time": ..., "payload": {...}}``, plus
   an optional ``"seq"`` (see below);
-* a **control op**: ``{"op": "deploy" | "retire" | "subscribe" |
-  "ping" | "stop", ...}``.
+* a **control op**: ``{"op": "deploy" | "retire" | "ping" | "stop", ...}``
+  (plus ``"subscribe"``, which only a connection-oriented transport can
+  honour and therefore lives in the TCP server).
 
 Replies (ops and errors only — accepted events are not acknowledged,
 their acknowledgement is the TCP window) are JSON lines too:
 ``{"ok": true, "op": ..., ...}`` or ``{"ok": false, "error": <code>,
-"message": ...}`` with a machine-readable error code.
+"message": ...}`` with a machine-readable error code.  TCP writes them
+to the connection, stdin mode to stderr, HTTP folds them into the
+response body.
 
 **Sequenced ingestion.**  Events may carry a monotonically increasing
 global sequence number ``"seq"``.  The server reassembles the total
@@ -23,11 +29,10 @@ over the original stream.  Events without ``seq`` are submitted in
 arrival order — the session's reorder buffer then provides the usual
 bounded out-of-order tolerance.
 
-:class:`LineReader` is the transport half: an incremental socket reader
-that enforces the max-line limit *while reading* (an oversized line is
-discarded up to its terminating newline and reported, it is never
-buffered whole), so a misbehaving producer cannot balloon server
-memory.
+:class:`LineReader` is the socket transports' reader: an incremental
+reader that enforces the max-line limit *while reading* (an oversized
+line is discarded up to its terminating newline and reported, it is never
+buffered whole), so a misbehaving producer cannot balloon server memory.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from typing import Callable
 from repro.errors import CaesarError
 from repro.events.event import Event
 from repro.events.types import EventType
+from repro.language import parse_query
 
 #: Default ceiling for one protocol line (1 MiB) — far above any sane
 #: event, far below anything that could hurt the server.
@@ -139,6 +145,41 @@ def parse_line(text: str, resolve_type: Callable[[str], EventType]) -> ParsedLin
         raise ProtocolError(ERR_BAD_EVENT, "event seq must be an integer")
     event = Event(resolve_type(type_name), time, payload)
     return ParsedLine("event", event=event, seq=seq)
+
+
+def apply_op(service, message: dict, types: dict | None = None) -> dict:
+    """Apply one control op to ``service``; returns its ok-reply fields.
+
+    The one op dispatcher behind every transport.  ``stop`` is only
+    acknowledged here — ending the serving loop is the transport's own
+    business once the reply is out.  Raises :class:`ProtocolError` for
+    unknown ops and malformed arguments; deployment failures propagate as
+    the service raised them.
+    """
+    op = message["op"]
+    if op == "deploy":
+        query = parse_query(
+            str(message.get("query", "")),
+            name=str(message.get("name", "deployed")),
+            types=types,
+        )
+        watermark = service.deploy_query(query)
+        return {"op": op, "name": query.name, "watermark": watermark}
+    if op == "retire":
+        name = message.get("name")
+        if not isinstance(name, str):
+            raise ProtocolError(ERR_BAD_OP, "retire needs a query 'name'")
+        watermark = service.retire_query(name)
+        return {"op": op, "name": name, "watermark": watermark}
+    if op == "ping":
+        return {
+            "op": op,
+            "watermark": service.session.watermark,
+            "emitted": service.emitted_events,
+        }
+    if op == "stop":
+        return {"op": op}
+    raise ProtocolError(ERR_UNKNOWN_OP, f"unknown op {op!r}")
 
 
 def event_row(event: Event) -> dict:

@@ -40,17 +40,16 @@ from typing import Callable, TYPE_CHECKING
 
 from repro.errors import CaesarError
 from repro.events.event import Event
-from repro.language import parse_query
 from repro.net.protocol import (
     DEFAULT_MAX_LINE_BYTES,
     ERR_BAD_OP,
     ERR_TIMEOUT,
     ERR_UNAVAILABLE,
-    ERR_UNKNOWN_OP,
     LineReader,
     ParsedLine,
     ProtocolError,
     TypeResolver,
+    apply_op,
     encode_event,
     error_reply,
     ok_reply,
@@ -448,51 +447,28 @@ class NetServer:
 
     def _handle_op(self, conn: _Connection, parsed: ParsedLine) -> None:
         message = parsed.op
-        op = message["op"]
         try:
-            if op == "deploy":
-                query = parse_query(
-                    str(message.get("query", "")),
-                    name=str(message.get("name", "deployed")),
-                    types=getattr(self.resolve_type, "types", None),
-                )
-                watermark = self.service.deploy_query(query)
-                self._send(conn, ok_reply(
-                    op="deploy", name=query.name, watermark=watermark
-                ))
-            elif op == "retire":
-                name = message.get("name")
-                if not isinstance(name, str):
-                    raise ProtocolError(
-                        ERR_BAD_OP, "retire needs a query 'name'"
-                    )
-                watermark = self.service.retire_query(name)
-                self._send(conn, ok_reply(
-                    op="retire", name=name, watermark=watermark
-                ))
-            elif op == "subscribe":
+            if message["op"] == "subscribe":
+                # the one op that needs a connection to stay attached to
                 self._add_subscriber(conn)
-                self._send(conn, ok_reply(op="subscribe"))
-            elif op == "ping":
-                self._send(conn, ok_reply(
-                    op="ping",
-                    watermark=self.service.session.watermark,
-                    emitted=self.service.emitted_events,
-                ))
-            elif op == "stop":
-                self._send(conn, ok_reply(op="stop"))
-                self.request_shutdown()
+                fields = {"op": "subscribe"}
             else:
-                raise ProtocolError(
-                    ERR_UNKNOWN_OP, f"unknown op {op!r}"
+                fields = apply_op(
+                    self.service,
+                    message,
+                    getattr(self.resolve_type, "types", None),
                 )
         except ProtocolError as err:
             self._reject(conn, err)
+            return
         except CaesarError as err:
             # deploy/retire failures (parse errors, unknown queries, a
             # stopped service) are reported on the wire, not fatal
-            self._rejected["bad-op"].inc()
-            self._send(conn, error_reply(ERR_BAD_OP, str(err)))
+            self._reject(conn, ProtocolError(ERR_BAD_OP, str(err)))
+            return
+        self._send(conn, ok_reply(**fields))
+        if fields["op"] == "stop":
+            self.request_shutdown()
 
     # ------------------------------------------------------------------
     # emissions

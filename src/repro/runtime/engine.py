@@ -37,7 +37,6 @@ from repro.events.stream import EventStream
 from repro.events.timebase import TimePoint
 from repro.observability import (
     EngineInstruments,
-    NULL_REGISTRY,
     Observability,
     resolve_observability,
 )
@@ -221,44 +220,38 @@ class _PartitionRuntime:
 
     def aggregation_counts(self) -> tuple[int, int]:
         """(matches_aggregated, matches_materialized) over all plans."""
-        aggregated = 0
-        materialized = 0
-        for router in (self.deriving_router, self.processing_router):
-            for combined in router.all_plans():
-                for plan in combined.plans:
-                    for operator in plan.operators:
-                        if isinstance(operator, PatternAggregateOperator):
-                            aggregated += operator.matches_aggregated
-                        elif isinstance(operator, MatchAggregateProjection):
-                            materialized += operator.matches_materialized
-        return aggregated, materialized
+        return _aggregation_counts(
+            plan
+            for router in (self.deriving_router, self.processing_router)
+            for combined in router.all_plans()
+            for plan in combined.plans
+        )
 
 
-class RunState:
-    """All state scoped to *one* :meth:`CaesarEngine.run`.
+def _aggregation_counts(plans) -> tuple[int, int]:
+    """(matches_aggregated, matches_materialized) over individual plans."""
+    aggregated = 0
+    materialized = 0
+    for plan in plans:
+        for operator in plan.operators:
+            if isinstance(operator, PatternAggregateOperator):
+                aggregated += operator.matches_aggregated
+            elif isinstance(operator, MatchAggregateProjection):
+                materialized += operator.matches_materialized
+    return aggregated, materialized
 
-    The distributor, scheduler, latency tracker and output accumulators
-    used to live as locals threaded through the run loop; bundling them
-    makes the per-run vs. per-engine state split explicit — everything in
-    here is born and dies with a single run, everything on the engine
-    (partition runtimes, templates, supervision state) survives across
-    timestamps and is reset by :meth:`CaesarEngine.reset_run_state`.
+
+class _RunAccounting:
+    """Per-batch accounting of one run: latency, counts, outputs.
+
+    The half of a run every engine shares — :class:`RunState` adds the
+    distributor/scheduler/backend half that only :class:`CaesarEngine`
+    needs; :class:`ScheduledWorkloadEngine` accounts through this alone.
     """
 
-    def __init__(
-        self,
-        partition_by: Partitioner,
-        instruments: EngineInstruments | None = None,
-    ):
-        self.instruments = (
-            instruments
-            if instruments is not None
-            else EngineInstruments(NULL_REGISTRY)
-        )
-        self.distributor = EventDistributor(partition_by)
-        self.scheduler = TimeDrivenScheduler(
-            self.distributor, instruments=self.instruments
-        )
+    def __init__(self, instruments: EngineInstruments, track_outputs: bool):
+        self.instruments = instruments
+        self.track_outputs = track_outputs
         self.latency = LatencyTracker()
         self.outputs: list[Event] = []
         self.outputs_by_type: dict[str, int] = {}
@@ -272,7 +265,6 @@ class RunState:
         incoming: int,
         batch_outputs: list[Event],
         service: float,
-        track_outputs: bool,
     ) -> None:
         latency = self.latency.record(float(t), service)
         self.events_processed += incoming
@@ -287,12 +279,156 @@ class RunState:
             self.outputs_by_type[event.type_name] = (
                 self.outputs_by_type.get(event.type_name, 0) + 1
             )
-        if track_outputs:
+        if self.track_outputs:
             self.outputs.extend(batch_outputs)
 
     @property
     def wall_seconds(self) -> float:
         return _time.perf_counter() - self.wall_started
+
+
+class RunState(_RunAccounting):
+    """One run of a :class:`CaesarEngine`, from first batch to report.
+
+    The single driver behind every way of running an engine: constructing
+    a ``RunState`` *opens* the run (reset-vs-preserve decision, backend and
+    shedder ``begin_run``), :meth:`step` executes one timestamp's batch,
+    :meth:`finish` ends the run and builds its :class:`EngineReport`,
+    :meth:`abort` ends it without one.  :meth:`CaesarEngine.run` steps it
+    once per stream batch; :class:`~repro.runtime.session.EngineSession`
+    steps it as its reorder buffer releases timestamps.
+
+    Everything in here is born and dies with a single run; everything on
+    the engine (partition runtimes, templates, supervision state) survives
+    across timestamps and is reset by :meth:`CaesarEngine.reset_run_state`.
+    A run after :func:`~repro.runtime.checkpoint.restore_checkpoint`
+    resumes from the restored state instead of resetting it.
+    """
+
+    def __init__(self, engine: "CaesarEngine", *, track_outputs: bool = True):
+        if engine._runs_started > 0 and not engine._preserve_state_once:
+            engine.reset_run_state()
+        engine._runs_started += 1
+        super().__init__(engine.instruments, track_outputs)
+        self.engine = engine
+        self.distributor = EventDistributor(engine.partition_by)
+        self.scheduler = TimeDrivenScheduler(
+            self.distributor, instruments=self.instruments
+        )
+        self.backend = engine.backend.for_engine(engine)
+        engine._effective_backend = self.backend
+        self.backend.begin_run(engine)
+        if engine.shedder is not None:
+            engine.shedder.begin_run(
+                distributor=self.distributor,
+                remote=not self.backend.local_state,
+            )
+
+    def step(self, t: TimePoint, batch) -> list[Event]:
+        """Execute the stream transactions of timestamp ``t``.
+
+        The time-driven scheduler guarantees that context derivation for
+        ``t`` completes before context processing starts (Section 6.2),
+        per partition; the backend decides whether the partitions'
+        transactions run serially or sharded, with outputs merged back in
+        deterministic partition order.
+        """
+        engine = self.engine
+        backend = self.backend
+        local_state = backend.local_state
+        observability = engine.observability
+        with observability.span("batch", t=t):
+            events = engine._prepare_batch(list(batch), t)
+            if events:
+                self.distributor.distribute(events)
+            self.instruments.queue_depth.set(self.distributor.total_pending())
+            # the batch's cost units feed the deterministic latency model
+            # and the shedder's backlog model; nobody else pays for them
+            shedder = engine.shedder
+            metered = (
+                shedder is not None
+                or engine.seconds_per_cost_unit is not None
+            )
+            cost_before = (
+                engine._total_cost_units() if metered and local_state else 0.0
+            )
+            wall_before = _time.perf_counter()
+            transactions = self.scheduler.collect(t)
+            results = backend.execute(t, transactions, engine)
+            self.scheduler.commit(transactions)
+            batch_outputs = [
+                event for outputs in results for event in outputs
+            ]
+            if not metered:
+                cost_delta = 0.0
+            elif local_state:
+                cost_delta = engine._total_cost_units() - cost_before
+            else:
+                cost_delta = backend.last_cost_delta
+            if engine.seconds_per_cost_unit is not None:
+                service = cost_delta * engine.seconds_per_cost_unit
+            else:
+                service = _time.perf_counter() - wall_before
+            self.record_batch(t, len(batch), batch_outputs, service)
+            if shedder is not None:
+                shedder.note_batch_cost(cost_delta)
+                if not local_state:
+                    shedder.absorb_remote_feedback(backend.last_shed_feedback)
+            engine._on_batch_end(t)
+            # Preservation (post-restore) is consumed only once a batch
+            # actually committed: a run that aborts before touching state
+            # must leave the restored state intact for the retry (the
+            # chunk-boundary recall-bug class).
+            engine._preserve_state_once = False
+        if observability.snapshot_due(self.batches):
+            engine._refresh_gauges(self)
+            observability.emit_snapshot(t)
+            self.instruments.snapshots.inc()
+        return batch_outputs
+
+    def finish(self) -> EngineReport:
+        """End the run (worker fan-in, ``end_run``) and build its report."""
+        engine = self.engine
+        backend = self.backend
+        engine._preserve_state_once = False
+        try:
+            totals = backend.collect_totals(engine)
+        finally:
+            backend.end_run(engine)
+        if totals is None:
+            totals = engine._local_totals()
+        engine._observe_totals(totals)
+        engine._refresh_gauges(self, totals)
+        report = EngineReport(
+            outputs=self.outputs,
+            events_processed=self.events_processed,
+            batches=self.batches,
+            cost_units=totals.cost_units,
+            wall_seconds=self.wall_seconds,
+            max_latency=self.latency.max_latency,
+            mean_latency=self.latency.mean_latency,
+            outputs_by_type=self.outputs_by_type,
+            windows_by_partition=totals.windows_by_partition,
+            suppressed_batches=totals.suppressed_batches,
+            routed_batches=totals.routed_batches,
+            interest_suppressed_batches=totals.interest_suppressed_batches,
+            gc_collected=totals.gc_collected,
+            history_discards=totals.history_discards,
+            matches_aggregated=totals.matches_aggregated,
+            matches_materialized=totals.matches_materialized,
+            cost_by_context=totals.cost_by_context,
+            backend=backend.name,
+            transport_bytes_out=totals.transport_bytes_out,
+            transport_bytes_in=totals.transport_bytes_in,
+            batches_shm=totals.batches_shm,
+            batches_pickled_fallback=totals.batches_pickled_fallback,
+        )
+        engine._finalize_report(report)
+        return report
+
+    def abort(self) -> None:
+        """End a failed run without a report (releases backend workers)."""
+        self.backend.end_run(self.engine)
 
 
 class CaesarEngine:
@@ -512,11 +648,9 @@ class CaesarEngine:
     ) -> EngineReport:
         """Process a whole stream and report metrics.
 
-        The time-driven scheduler guarantees that for each timestamp the
-        context derivation phase completes before context processing starts
-        (Section 6.2), per partition; the execution backend decides whether
-        the partitions' transactions run serially or sharded across
-        workers, with outputs merged back in deterministic partition order.
+        Opens a :class:`RunState`, steps it once per stream batch and
+        finishes it — the same driver an incremental
+        :class:`~repro.runtime.session.EngineSession` steps.
 
         ``run`` is re-entrant: a second call on the same engine starts from
         a clean slate (fresh partition runtimes, zeroed cost and latency
@@ -527,108 +661,14 @@ class CaesarEngine:
         """
         if unsupported:
             _reject_unknown_run_kwargs(type(self).__name__, unsupported)
-        if self._runs_started > 0 and not self._preserve_state_once:
-            self.reset_run_state()
-        self._runs_started += 1
-
-        state = RunState(self.partition_by, self.instruments)
-        observability = self.observability
-        backend = self.backend.for_engine(self)
-        self._effective_backend = backend
-        local_state = backend.local_state
-        totals: RunTotals | None = None
-        backend.begin_run(self)
-        shedder = self.shedder
-        if shedder is not None:
-            shedder.begin_run(
-                distributor=state.distributor, remote=not local_state
-            )
+        state = RunState(self, track_outputs=track_outputs)
         try:
             for batch in stream.batches():
-                t = batch.timestamp
-                with observability.span("batch", t=t):
-                    events = self._prepare_batch(list(batch), t)
-                    if events:
-                        state.distributor.distribute(events)
-                    self.instruments.queue_depth.set(
-                        state.distributor.total_pending()
-                    )
-                    cost_before = (
-                        self._total_cost_units() if local_state else 0.0
-                    )
-                    wall_before = _time.perf_counter()
-                    transactions = state.scheduler.collect(t)
-                    results = backend.execute(t, transactions, self)
-                    state.scheduler.commit(transactions)
-                    batch_outputs = [
-                        event for outputs in results for event in outputs
-                    ]
-                    if self.seconds_per_cost_unit is not None:
-                        if local_state:
-                            cost_delta = self._total_cost_units() - cost_before
-                        else:
-                            cost_delta = backend.last_cost_delta
-                        service = cost_delta * self.seconds_per_cost_unit
-                    else:
-                        service = _time.perf_counter() - wall_before
-                    state.record_batch(
-                        t, len(batch), batch_outputs, service, track_outputs
-                    )
-                    if shedder is not None:
-                        if local_state:
-                            shedder.note_batch_cost(
-                                self._total_cost_units() - cost_before
-                            )
-                        else:
-                            shedder.note_batch_cost(backend.last_cost_delta)
-                            shedder.absorb_remote_feedback(
-                                backend.last_shed_feedback
-                            )
-                    self._on_batch_end(t)
-                    # Preservation (post-restore) is consumed only once a
-                    # batch actually committed: a run that aborts before
-                    # touching state must leave the restored state intact
-                    # for the retry (the chunk-boundary recall-bug class).
-                    self._preserve_state_once = False
-                if observability.snapshot_due(state.batches):
-                    self._refresh_gauges(state)
-                    observability.emit_snapshot(t)
-                    self.instruments.snapshots.inc()
-            self._preserve_state_once = False
-            totals = backend.collect_totals(self)
-        finally:
-            backend.end_run(self)
-
-        if totals is None:
-            totals = self._local_totals()
-        self._observe_totals(totals)
-        self._refresh_gauges(state, totals)
-        report = EngineReport(
-            outputs=state.outputs,
-            events_processed=state.events_processed,
-            batches=state.batches,
-            cost_units=totals.cost_units,
-            wall_seconds=state.wall_seconds,
-            max_latency=state.latency.max_latency,
-            mean_latency=state.latency.mean_latency,
-            outputs_by_type=state.outputs_by_type,
-            windows_by_partition=totals.windows_by_partition,
-            suppressed_batches=totals.suppressed_batches,
-            routed_batches=totals.routed_batches,
-            interest_suppressed_batches=totals.interest_suppressed_batches,
-            gc_collected=totals.gc_collected,
-            history_discards=totals.history_discards,
-            matches_aggregated=totals.matches_aggregated,
-            matches_materialized=totals.matches_materialized,
-            cost_by_context=totals.cost_by_context,
-            backend=backend.name,
-            transport_bytes_out=totals.transport_bytes_out,
-            transport_bytes_in=totals.transport_bytes_in,
-            batches_shm=totals.batches_shm,
-            batches_pickled_fallback=totals.batches_pickled_fallback,
-        )
-        self._finalize_report(report)
-        return report
+                state.step(batch.timestamp, batch)
+        except BaseException:
+            state.abort()
+            raise
+        return state.finish()
 
     def close(self) -> None:
         """Release backend resources (worker pools, shared-memory rings).
@@ -937,9 +977,8 @@ class CaesarEngine:
     def _finalize_report(self, report: EngineReport) -> None:
         """Hook to enrich a freshly built report (e.g. supervision counters).
 
-        Invoked by :meth:`run` and by
-        :meth:`~repro.runtime.session.EngineSession.close`.  The base
-        engine adds the overload-management counters when shedding is on.
+        Invoked by :meth:`RunState.finish`.  The base engine adds the
+        overload-management counters when shedding is on.
         """
         if self.shedder is not None:
             self.shedder.populate_report(report)
@@ -1035,8 +1074,7 @@ class CaesarEngine:
 
         The base engine does nothing; the supervision layer uses it to
         drive checkpoint autosaving at batch (= stream-time) boundaries.
-        Both :meth:`run` and :class:`~repro.runtime.session.EngineSession`
-        invoke it.
+        :meth:`RunState.step` invokes it.
         """
 
     def _total_cost_units(self) -> float:
@@ -1106,15 +1144,10 @@ class ScheduledWorkloadEngine:
     ) -> EngineReport:
         if unsupported:
             _reject_unknown_run_kwargs(type(self).__name__, unsupported)
-        latency = LatencyTracker()
-        outputs: list[Event] = []
-        outputs_by_type: dict[str, int] = {}
-        events_processed = 0
-        batches = 0
+        state = _RunAccounting(self.instruments, track_outputs)
         cost_total = 0.0
         suppressed = 0
         routed = 0
-        wall_started = _time.perf_counter()
         for batch in stream.batches():
             t = batch.timestamp
             ctx = ExecutionContext(windows=self._store, now=t)
@@ -1154,45 +1187,25 @@ class ScheduledWorkloadEngine:
                 service = (cost_total - cost_before) * self.seconds_per_cost_unit
             else:
                 service = _time.perf_counter() - wall_before
-            batch_latency = latency.record(float(t), service)
-            events_processed += len(events)
-            batches += 1
-            instruments = self.instruments
-            instruments.batches.inc()
-            instruments.events.inc(len(events))
-            instruments.outputs.inc(len(batch_outputs))
-            instruments.batch_service.observe(service)
-            instruments.batch_latency.observe(batch_latency)
-            for event in batch_outputs:
-                outputs_by_type[event.type_name] = (
-                    outputs_by_type.get(event.type_name, 0) + 1
-                )
-            if track_outputs:
-                outputs.extend(batch_outputs)
-            if self.observability.snapshot_due(batches):
+            state.record_batch(t, len(events), batch_outputs, service)
+            if self.observability.snapshot_due(state.batches):
                 self.observability.emit_snapshot(t)
                 self.instruments.snapshots.inc()
-        wall_seconds = _time.perf_counter() - wall_started
         self.instruments.cost_units.inc(cost_total)
         self.instruments.suppressed.inc(suppressed)
         self.instruments.routed.inc(routed)
-        matches_aggregated = 0
-        matches_materialized = 0
-        for unit in self.workload.units:
-            for operator in unit.plan.operators:
-                if isinstance(operator, PatternAggregateOperator):
-                    matches_aggregated += operator.matches_aggregated
-                elif isinstance(operator, MatchAggregateProjection):
-                    matches_materialized += operator.matches_materialized
+        matches_aggregated, matches_materialized = _aggregation_counts(
+            unit.plan for unit in self.workload.units
+        )
         return EngineReport(
-            outputs=outputs,
-            events_processed=events_processed,
-            batches=batches,
+            outputs=state.outputs,
+            events_processed=state.events_processed,
+            batches=state.batches,
             cost_units=cost_total,
-            wall_seconds=wall_seconds,
-            max_latency=latency.max_latency,
-            mean_latency=latency.mean_latency,
-            outputs_by_type=outputs_by_type,
+            wall_seconds=state.wall_seconds,
+            max_latency=state.latency.max_latency,
+            mean_latency=state.latency.mean_latency,
+            outputs_by_type=state.outputs_by_type,
             suppressed_batches=suppressed,
             routed_batches=routed,
             matches_aggregated=matches_aggregated,

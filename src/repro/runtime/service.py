@@ -10,12 +10,17 @@ and derived events are emitted *as their stream transactions commit* — via
 an ``on_emit`` callback or the :meth:`~EngineService.outputs` iterator —
 not only in the end-of-run report.
 
-The session runs in frontier mode (``eager=False``): a timestamp's batch
-stays open until a strictly newer timestamp arrives, so events of one
-logical transaction may be submitted one at a time and still execute as
-one transaction — which is what makes continuous ingestion byte-identical
-to a one-shot ``run()`` over the same stream (the difftest ``service``
-axis enforces this).
+The service adds a queue and a thread, not a run loop: the session steps
+the same :class:`~repro.runtime.engine.RunState` driver as a one-shot
+``run()`` and :meth:`~EngineService.stop` returns the report its
+``finish`` builds.  The session runs in frontier mode (``eager=False``):
+a timestamp's batch stays open until a strictly newer timestamp arrives,
+so events of one logical transaction may be submitted one at a time and
+still execute as one transaction — which is what makes continuous
+ingestion byte-identical to a one-shot ``run()`` over the same stream
+(the difftest ``service`` axis enforces this).  A feeder crash aborts the
+run (the backend's workers are released); :meth:`~EngineService.stop`
+then re-raises the stored error on every call.
 
 Online deployment — :meth:`~EngineService.deploy_query`,
 :meth:`~EngineService.retire_query`, :meth:`~EngineService.deploy_context`
@@ -27,8 +32,8 @@ test against a checkpoint-restored reference).
 
 Periodic live snapshots come for free: a supervised engine with a
 :class:`~repro.runtime.recovery.RecoveryManager` autosaves at watermark
-boundaries because the session calls ``_on_batch_end`` per committed
-transaction, exactly like ``run()``.
+boundaries because every driver step ends in the engine's
+``_on_batch_end`` hook.
 
 Service gauges (queue depth, watermark, watermark lag, emit latency) are
 registered on the engine's metrics registry under ``caesar_service_*``.
@@ -399,7 +404,11 @@ class EngineService:
         if self._error is not None:
             # the feeder's crash path already failed queued ops and
             # terminated the outputs iterator with this error; re-raising
-            # here (every call, for idempotency) surfaces it to stoppers
+            # here (every call, for idempotency) surfaces it to stoppers.
+            # The run is dead either way: end it so the backend's workers
+            # do not outlive the service (a no-op when the session's own
+            # failing step already did).
+            self.session.abort()
             self._finish_emissions(self._error)
             raise self._error
         try:

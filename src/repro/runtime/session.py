@@ -9,14 +9,15 @@ incremental interface::
     ...
     report = session.close()                 # final metrics
 
-Feeding preserves all engine semantics — per-partition context derivation
-before processing, suspension, history discard, garbage collection,
-admission control, supervision hooks — because each timestamp's batch runs
-through exactly the same pipeline as one iteration of the ``run()`` loop:
-``_prepare_batch`` → distribute → scheduler collect → backend execute →
-commit → latency/shedder accounting → ``_on_batch_end``.  The session uses
-the engine's configured execution backend, so thread- and process-sharded
-engines feed incrementally too.
+A session owns no run loop of its own: it opens the same
+:class:`~repro.runtime.engine.RunState` that :meth:`CaesarEngine.run`
+drives, calls its ``step`` once per released timestamp and its ``finish``
+on :meth:`~EngineSession.close`.  What the session adds is only what is
+genuinely incremental — the reorder buffer, the frontier hold
+(``eager=False``) and late accounting.  The engine's configured execution
+backend drives the run, so thread- and process-sharded engines feed
+incrementally too; a step that raises aborts the run (the backend's
+workers are released) and the session keeps re-raising that error.
 
 Late arrivals are no longer an error: events flow through a
 :class:`~repro.runtime.reorder.ReorderBuffer` with the session's
@@ -25,23 +26,21 @@ timestamp whose transaction already committed) are counted in
 :attr:`EngineSession.late_events` and diverted to the engine's dead-letter
 queue under the ``late`` reason when one is attached.
 
-The central invariant — enforced by the difftest ``service`` axis — is
-that feeding a stream in chunks is byte-identical to one ``run()`` over
-the whole stream: same outputs, same windows, same deterministic counters.
+The invariant the difftest ``service`` axis enforces — feeding a stream
+in chunks is byte-identical to one ``run()`` over the whole stream — is
+therefore a statement about reordering and the frontier hold, not about
+two loops kept in sync.
 """
 
 from __future__ import annotations
 
-import time as _time
-from typing import Iterable, TYPE_CHECKING
+from typing import Iterable
 
 from repro.errors import RuntimeEngineError
 from repro.events.event import Event
 from repro.events.timebase import TimePoint
+from repro.runtime.engine import CaesarEngine, EngineReport, RunState
 from repro.runtime.reorder import ReorderBuffer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.engine import CaesarEngine, EngineReport
 
 
 class EngineSession:
@@ -73,22 +72,16 @@ class EngineSession:
 
     def __init__(
         self,
-        engine: "CaesarEngine",
+        engine: CaesarEngine,
         *,
         max_delay: TimePoint = 0,
         eager: bool = True,
         track_outputs: bool = True,
     ):
-        from repro.runtime.engine import RunState
-
         self.engine = engine
         self.eager = eager
-        self.track_outputs = track_outputs
         self.late_events = 0
-        if engine._runs_started > 0 and not engine._preserve_state_once:
-            engine.reset_run_state()
-        engine._runs_started += 1
-        self._state = RunState(engine.partition_by, engine.instruments)
+        self._state = RunState(engine, track_outputs=track_outputs)
         self._reorder = ReorderBuffer(max_delay, on_late=self._record_late)
         #: released-but-unprocessed events, sorted by construction (the
         #: reorder buffer releases in timestamp order)
@@ -96,16 +89,9 @@ class EngineSession:
         self._last_fed: TimePoint | None = None
         self._last_processed: TimePoint | None = None
         self._closed = False
-        self._report: "EngineReport | None" = None
-        self._backend = engine.backend.for_engine(engine)
-        engine._effective_backend = self._backend
-        self._local_state = self._backend.local_state
-        self._backend.begin_run(engine)
-        if engine.shedder is not None:
-            engine.shedder.begin_run(
-                distributor=self._state.distributor,
-                remote=not self._local_state,
-            )
+        #: the exception that aborted the run, re-raised by later calls
+        self._error: BaseException | None = None
+        self._report: EngineReport | None = None
 
     # ------------------------------------------------------------------
     # feeding
@@ -119,8 +105,7 @@ class EngineSession:
         of order within the session's ``max_delay`` bound; older events
         are dead-lettered as late instead of raising.
         """
-        if self._closed:
-            raise RuntimeEngineError("session is closed")
+        self._check_open()
         for event in events:
             self._last_fed = event.timestamp
             self._pending.extend(self._reorder.push(event))
@@ -128,10 +113,15 @@ class EngineSession:
 
     def flush(self) -> list[Event]:
         """Release and process everything the reorder buffer still holds."""
-        if self._closed:
-            raise RuntimeEngineError("session is closed")
+        self._check_open()
         self._pending.extend(self._reorder.flush())
         return self._drain_pending(final=True)
+
+    def _check_open(self) -> None:
+        if self._error is not None:
+            raise self._error
+        if self._closed:
+            raise RuntimeEngineError("session is closed")
 
     def _record_late(self, event: Event) -> None:
         self.late_events += 1
@@ -171,58 +161,14 @@ class EngineSession:
                 for event in batch:
                     self._record_late(event)
                 continue
-            outputs.extend(self._run_batch(t, batch))
+            try:
+                outputs.extend(self._state.step(t, batch))
+            except BaseException as exc:
+                self._error = exc
+                self.abort()
+                raise
+            self._last_processed = t
         return outputs
-
-    def _run_batch(self, t: TimePoint, batch: list[Event]) -> list[Event]:
-        """One iteration of the ``run()`` loop, verbatim semantics."""
-        engine = self.engine
-        state = self._state
-        backend = self._backend
-        local_state = self._local_state
-        with engine.observability.span("batch", t=t):
-            events = engine._prepare_batch(list(batch), t)
-            if events:
-                state.distributor.distribute(events)
-            engine.instruments.queue_depth.set(
-                state.distributor.total_pending()
-            )
-            cost_before = engine._total_cost_units() if local_state else 0.0
-            wall_before = _time.perf_counter()
-            transactions = state.scheduler.collect(t)
-            results = backend.execute(t, transactions, engine)
-            state.scheduler.commit(transactions)
-            batch_outputs = [
-                event for outputs in results for event in outputs
-            ]
-            if engine.seconds_per_cost_unit is not None:
-                if local_state:
-                    cost_delta = engine._total_cost_units() - cost_before
-                else:
-                    cost_delta = backend.last_cost_delta
-                service = cost_delta * engine.seconds_per_cost_unit
-            else:
-                service = _time.perf_counter() - wall_before
-            state.record_batch(
-                t, len(batch), batch_outputs, service, self.track_outputs
-            )
-            shedder = engine.shedder
-            if shedder is not None:
-                if local_state:
-                    shedder.note_batch_cost(
-                        engine._total_cost_units() - cost_before
-                    )
-                else:
-                    shedder.note_batch_cost(backend.last_cost_delta)
-                    shedder.absorb_remote_feedback(backend.last_shed_feedback)
-            engine._on_batch_end(t)
-            engine._preserve_state_once = False
-        if engine.observability.snapshot_due(state.batches):
-            engine._refresh_gauges(state)
-            engine.observability.emit_snapshot(t)
-            engine.instruments.snapshots.inc()
-        self._last_processed = t
-        return batch_outputs
 
     # ------------------------------------------------------------------
     # introspection
@@ -251,56 +197,28 @@ class EngineSession:
     # lifecycle
     # ------------------------------------------------------------------
 
-    def close(self) -> "EngineReport":
+    def close(self) -> EngineReport:
         """Finish the session and return the accumulated report.
 
-        Flushes the reorder buffer, finalizes the backend (worker fan-in)
-        and the shedder, and builds the same report ``run()`` would —
-        including outputs, windows, backend/transport and overload
-        accounting — so ``repro stats`` and the difftest axes see chunked
-        and one-shot execution identically.  Idempotent: a second call
-        returns the same report.
+        Flushes the reorder buffer and finishes the run — the report is
+        built by the same :meth:`RunState.finish` as ``run()``'s, so
+        ``repro stats`` and the difftest axes see chunked and one-shot
+        execution identically.  Idempotent: a second call returns the same
+        report; after a failed step it re-raises that step's error.
         """
         if self._report is not None:
             return self._report
-        from repro.runtime.engine import EngineReport
-
-        engine = self.engine
-        self._pending.extend(self._reorder.flush())
-        self._drain_pending(final=True)
+        self.flush()
         self._closed = True
-        totals = None
-        try:
-            totals = self._backend.collect_totals(engine)
-        finally:
-            self._backend.end_run(engine)
-        if totals is None:
-            totals = engine._local_totals()
-        engine._observe_totals(totals)
-        engine._refresh_gauges(self._state, totals)
-        state = self._state
-        report = EngineReport(
-            outputs=state.outputs,
-            events_processed=state.events_processed,
-            batches=state.batches,
-            cost_units=totals.cost_units,
-            wall_seconds=state.wall_seconds,
-            max_latency=state.latency.max_latency,
-            mean_latency=state.latency.mean_latency,
-            outputs_by_type=state.outputs_by_type,
-            windows_by_partition=totals.windows_by_partition,
-            suppressed_batches=totals.suppressed_batches,
-            routed_batches=totals.routed_batches,
-            interest_suppressed_batches=totals.interest_suppressed_batches,
-            gc_collected=totals.gc_collected,
-            history_discards=totals.history_discards,
-            cost_by_context=totals.cost_by_context,
-            backend=self._backend.name,
-            transport_bytes_out=totals.transport_bytes_out,
-            transport_bytes_in=totals.transport_bytes_in,
-            batches_shm=totals.batches_shm,
-            batches_pickled_fallback=totals.batches_pickled_fallback,
-        )
-        engine._finalize_report(report)
-        self._report = report
-        return report
+        self._report = self._state.finish()
+        return self._report
+
+    def abort(self) -> None:
+        """End the run without a report, releasing the backend's workers.
+
+        For owners that cannot continue (a crashed service feeder).
+        Idempotent, and a no-op once the session closed or aborted.
+        """
+        if not self._closed:
+            self._closed = True
+            self._state.abort()

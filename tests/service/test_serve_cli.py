@@ -68,14 +68,40 @@ def emitted(stdout):
     return [json.loads(line) for line in stdout.splitlines() if line]
 
 
+def replies(stderr):
+    """The protocol's JSON reply lines among whatever else is on stderr."""
+    return [
+        json.loads(line) for line in stderr.splitlines()
+        if line.startswith("{")
+    ]
+
+
+#: lines the protocol rejects, with the reply code each must draw; on
+#: stdin they are reported on stderr and ingestion carries on, exactly
+#: like on the TCP and HTTP transports
+MALFORMED = [
+    ("not json", "parse"),
+    ("[1, 2]", "parse"),
+    (json.dumps({"time": 1}), "bad-event"),
+    (json.dumps({"type": "DiffReading", "time": "soon"}), "bad-event"),
+    (json.dumps({"op": "frobnicate"}), "unknown-op"),
+    (json.dumps({"op": "retire"}), "bad-op"),
+]
+
+
 class TestServeRoundTrip:
     def test_emissions_match_one_shot_run(self):
         lines = [event_line(t, v) for t, v in EVENTS]
+        # one malformed line between every two events
+        for index, (text, _code) in enumerate(MALFORMED):
+            lines.insert(2 * index + 1, text)
         lines.append(json.dumps({"op": "stop"}))
         proc = serve("\n".join(lines) + "\n", "--summary")
         assert proc.returncode == 0, proc.stderr
         assert emitted(proc.stdout) == expected_rows()
         assert "events=" in proc.stderr  # --summary report on stderr
+        errors = [r for r in replies(proc.stderr) if not r["ok"]]
+        assert [r["error"] for r in errors] == [c for _t, c in MALFORMED]
 
     def test_eof_drains_gracefully(self):
         lines = [event_line(t, v) for t, v in EVENTS]
@@ -95,7 +121,9 @@ class TestServeRoundTrip:
         lines.append(json.dumps({"op": "stop"}))
         proc = serve("\n".join(lines) + "\n")
         assert proc.returncode == 0, proc.stderr
-        assert "deployed 'spike' at watermark 20" in proc.stderr
+        assert {
+            "ok": True, "op": "deploy", "name": "spike", "watermark": 20
+        } in replies(proc.stderr)
         spikes = [row for row in emitted(proc.stdout) if row["type"] == "Spike"]
         assert [row["time"] for row in spikes] == [30]
 

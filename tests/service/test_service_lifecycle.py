@@ -9,7 +9,9 @@ Each test here pins one previously-hanging or masking behavior:
 * ``__exit__`` must let the in-flight exception win over a stored
   feeder error (chained, not masked);
 * ``submit`` racing ``stop`` must either raise or be processed —
-  never silently dropped.
+  never silently dropped;
+* a run that dies mid-feed must still end its backend run — no
+  ``caesar-shard-*`` worker thread may outlive ``stop()``.
 """
 
 import threading
@@ -19,7 +21,7 @@ import pytest
 
 from repro.errors import RuntimeEngineError
 from repro.language import parse_query
-from repro.runtime import CaesarEngine, EngineService
+from repro.runtime import CaesarEngine, EngineService, EngineSession
 from repro.runtime.service import _Op
 from repro.testing import InjectedFaultError, inject_plan_fault
 
@@ -206,3 +208,83 @@ class TestSubmitStopRace:
             service.submit(reading(0, 50))
         assert report.events_processed == 0
         assert service.dropped_events == 0
+
+
+def shard_threads():
+    return {
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("caesar-shard-") and thread.is_alive()
+    }
+
+
+def count_end_runs(backend):
+    """Wrap ``backend.end_run`` so the test can count its calls."""
+    calls = []
+    original = backend.end_run
+
+    def end_run(engine):
+        calls.append(engine)
+        original(engine)
+
+    backend.end_run = end_run
+    return calls
+
+
+class TestCrashedRunReleasesBackendWorkers:
+    """A run that dies mid-feed must still reach ``backend.end_run``.
+
+    Only the thread backend makes the leak observable (its ``begin_run``
+    spawns the ``caesar-shard-*`` threads that ``end_run`` joins; the
+    serial backend's ``end_run`` is a no-op), so it is pinned explicitly.
+    """
+
+    def test_stop_after_feeder_crash_leaves_no_shard_threads(self):
+        before = shard_threads()
+        engine = CaesarEngine(build_model(), backend="thread")
+        ended = count_end_runs(engine.backend)
+        inject_plan_fault(engine, "alert", at_times={20})
+        service = EngineService(engine, on_emit=lambda e: None)
+        assert shard_threads() - before, "the run never spawned its shards"
+        service.extend(crashing_events())
+        with pytest.raises(InjectedFaultError):
+            service.stop()
+        assert not shard_threads() - before
+        # the run is aborted exactly once; stop() stays idempotent and
+        # keeps re-raising the stored error
+        with pytest.raises(InjectedFaultError):
+            service.stop()
+        assert len(ended) == 1
+
+    def test_crashing_emit_callback_aborts_the_run_too(self):
+        # the session is healthy here — the feeder dies in the owner's
+        # callback — so only stop() can end the run
+        before = shard_threads()
+        engine = CaesarEngine(build_model(), backend="thread")
+        ended = count_end_runs(engine.backend)
+
+        def on_emit(event):
+            raise ValueError("sink is down")
+
+        service = EngineService(engine, on_emit=on_emit)
+        service.extend([reading(0, 150), reading(10, 160), reading(20, 90)])
+        with pytest.raises(ValueError, match="sink is down"):
+            service.stop()
+        assert not shard_threads() - before
+        assert len(ended) == 1
+
+    def test_raising_feed_aborts_the_session_once(self):
+        before = shard_threads()
+        engine = CaesarEngine(build_model(), backend="thread")
+        ended = count_end_runs(engine.backend)
+        inject_plan_fault(engine, "alert", at_times={20})
+        session = EngineSession(engine)
+        with pytest.raises(InjectedFaultError):
+            session.feed(crashing_events())
+        assert not shard_threads() - before
+        # the session is dead: every later call re-raises the same error
+        with pytest.raises(InjectedFaultError):
+            session.feed([reading(40, 50)])
+        with pytest.raises(InjectedFaultError):
+            session.close()
+        session.abort()
+        assert len(ended) == 1
