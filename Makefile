@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-chaos test-overload test-service test-aggregation difftest bench bench-aggregation bench-hotpath bench-parallel bench-observability bench-shedding bench-tables examples validate lint-smoke all
+.PHONY: install test test-chaos test-overload test-service test-aggregation difftest bench bench-smoke bench-aggregation bench-hotpath bench-parallel bench-observability bench-shedding bench-tables examples validate lint-smoke all
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -61,6 +61,12 @@ test-service:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# smoke run of the end-to-end benchmark (bench/): all four workloads at
+# --scale 0.05, traced and untraced, each checked against its reference
+# outputs — a pattern change that alters emissions fails here
+bench-smoke:
+	$(PYTHON) -m pytest bench/tests -q
 
 # online SEQ aggregation vs match materialization: asserts identical
 # aggregate values, linear-vs-combinatorial scaling, and >=10x at the

@@ -510,6 +510,37 @@ def conjuncts(expr: Expr) -> list[Expr]:
     return [expr]
 
 
+def split_guard(
+    guard: Expr, var: str
+) -> tuple[list[tuple[str, Expr]], list[Expr], list[Expr]]:
+    """Sort a negation guard's conjuncts into ``(keys, own, residual)``.
+
+    ``keys`` holds ``(attr, other)`` for each ``var.attr = other`` conjunct
+    (either operand order) whose ``other`` side reads only variables other
+    than ``var``; ``own`` holds the conjuncts that read no variable but
+    ``var``; ``residual`` holds everything else.
+    """
+    keys: list[tuple[str, Expr]] = []
+    own: list[Expr] = []
+    residual: list[Expr] = []
+    for conjunct in conjuncts(guard):
+        if conjunct.variables() <= {var}:
+            own.append(conjunct)
+            continue
+        if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
+            sides = (conjunct.left, conjunct.right), (conjunct.right, conjunct.left)
+            for side, other in sides:
+                if isinstance(side, AttrRef) and side.var == var:
+                    if var not in other.variables():
+                        keys.append((side.attr, other))
+                        break
+            else:
+                residual.append(conjunct)
+            continue
+        residual.append(conjunct)
+    return keys, own, residual
+
+
 def conjoin(exprs: list[Expr]) -> Expr:
     """Combine expressions into one conjunction (``TRUE`` for empty input)."""
     if not exprs:

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
-from repro.algebra.expressions import SELF_VAR, Expr
+from repro.algebra.expressions import SELF_VAR, Expr, split_guard
 from repro.algebra.operators import ExecutionContext, Operator
 from repro.errors import ExpressionError, PlanError
 from repro.events.event import Event
@@ -234,6 +234,24 @@ class _PendingMatch:
     blocked: bool = False
 
 
+class _GapNegation:
+    """A gap negation split by :func:`split_guard`: the full ``guard``
+    decides, ``own`` gates history admission, ``probe`` computes the key
+    the first ``var.key_attr = probe`` conjunct looks up."""
+
+    def __init__(self, negation: NegatedSpec):
+        self.type_name, self.var = negation.inner.type_name, negation.inner.var
+        self.guard = self.probe = self.key_attr = None
+        self.own: list[Callable[[Mapping[str, Event]], Any]] = []
+        if negation.guard is not None:
+            keys, own, _ = split_guard(negation.guard, self.var)
+            self.guard = negation.guard.compile()
+            self.own = [conjunct.compile() for conjunct in own]
+            if keys:
+                self.key_attr, probe = keys[0]
+                self.probe = probe.compile()
+
+
 @dataclass
 class _SequencePlan:
     """Pre-analyzed structure of a Sequence: negations between positives."""
@@ -241,7 +259,7 @@ class _SequencePlan:
     positives: tuple[EventMatch, ...]
     #: ``gap_negations[i]`` lists negations between positive ``i-1`` and
     #: positive ``i``; index 0 holds leading negations.
-    gap_negations: tuple[tuple[NegatedSpec, ...], ...]
+    gap_negations: tuple[tuple[_GapNegation, ...], ...]
     trailing: tuple[NegatedSpec, ...]
 
 
@@ -263,11 +281,107 @@ def _analyze(sequence: Sequence) -> _SequencePlan:
                 "time bound (Section 4.1: a negated event ending a sequence "
                 "requires a temporal constraint)"
             )
+        if negation.guard is not None:
+            negation.guard.compile()
     return _SequencePlan(
         positives=tuple(positives),
-        gap_negations=tuple(tuple(g) for g in gaps),
+        gap_negations=tuple(tuple(_GapNegation(n) for n in g) for g in gaps),
         trailing=trailing,
     )
+
+
+_MISSING = object()
+
+
+class _NegationHistory:
+    """Retained events of one gap-negated type, indexed by key attribute.
+
+    ``events`` (arrival order) owns the history: expiry pops its front and
+    snapshots copy it.  ``index`` maps each key attribute to buckets
+    ``{value: [events in arrival order]}`` plus an overflow list for values
+    that are unhashable or not equal to themselves (NaN), so an expired
+    event is always the front of its list.  An event lacking the attribute
+    is in neither: its key conjunct raises, so the guard cannot hold.
+    :meth:`candidates` thus returns a superset of the events the guard can
+    accept, and the guard decides on each of them.
+    """
+
+    def __init__(self, negations: list[_GapNegation]):
+        self.negations = negations
+        self.events: deque[Event] = deque()
+        self.index: dict[str, tuple[dict[Any, list[Event]], list[Event]]] = {
+            n.key_attr: ({}, []) for n in negations if n.key_attr is not None
+        }
+
+    def may_block(self, event: Event) -> bool:
+        """Whether all own conjuncts of some negation hold for ``event``."""
+        for negation in self.negations:
+            binding = {negation.var: event}
+            try:
+                if all(conjunct(binding) for conjunct in negation.own):
+                    return True
+            except ExpressionError:
+                pass
+        return False
+
+    def _slot(self, attr: str, event: Event) -> list[Event] | None:
+        key = event._payload.get(attr, _MISSING)
+        if key is _MISSING:
+            return None
+        buckets, overflow = self.index[attr]
+        try:
+            if key == key:
+                return buckets.setdefault(key, [])
+        except TypeError:
+            pass
+        return overflow
+
+    def append(self, event: Event) -> None:
+        self.events.append(event)
+        for attr in self.index:
+            slot = self._slot(attr, event)
+            if slot is not None:
+                slot.append(event)
+
+    def expire_before(self, t: TimePoint) -> int:
+        dropped = 0
+        while self.events and self.events[0].timestamp < t:
+            event = self.events.popleft()
+            dropped += 1
+            for attr, (buckets, overflow) in self.index.items():
+                slot = self._slot(attr, event)
+                if slot is not None:
+                    del slot[0]
+                    if not slot and slot is not overflow:
+                        del buckets[event._payload[attr]]
+        return dropped
+
+    def reset(self, events: Iterable[Event] = ()) -> None:
+        self.events.clear()
+        for buckets, overflow in self.index.values():
+            buckets.clear()
+            overflow.clear()
+        for event in events:
+            self.append(event)
+
+    def candidates(
+        self, negation: _GapNegation, binding: Mapping[str, Event]
+    ) -> Iterable[Event]:
+        """The retained events that may satisfy ``negation``'s guard."""
+        if negation.probe is None:
+            return self.events
+        try:
+            probe = negation.probe(binding)
+        except ExpressionError:
+            return ()  # the key conjunct raises for every event
+        buckets, overflow = self.index[negation.key_attr]
+        try:
+            if probe == probe:
+                bucket = buckets.get(probe, ())
+                return [*bucket, *overflow] if overflow else bucket
+        except TypeError:
+            pass
+        return self.events
 
 
 class PatternOperator(Operator):
@@ -300,24 +414,19 @@ class PatternOperator(Operator):
         else:
             raise PlanError(f"unsupported pattern spec: {spec!r}")
         self._negated_types: set[str] = set()
+        #: keyed negation history, only for types some gap negation reads;
+        #: trailing negations check arriving events directly
+        self._history: dict[str, _NegationHistory] = {}
         if self._plan is not None:
+            by_type: dict[str, list[_GapNegation]] = {}
             for gap in self._plan.gap_negations:
-                self._negated_types.update(n.inner.type_name for n in gap)
+                for negation in gap:
+                    by_type.setdefault(negation.type_name, []).append(negation)
+            self._history = {t: _NegationHistory(n) for t, n in by_type.items()}
+            self._negated_types.update(by_type)
             self._negated_types.update(
                 n.inner.type_name for n in self._plan.trailing
             )
-            # compile negation guards at plan-build time (memoized on the
-            # expression nodes, so shared guards compile once)
-            for gap in self._plan.gap_negations:
-                for negation in gap:
-                    if negation.guard is not None:
-                        negation.guard.compile()
-            for negation in self._plan.trailing:
-                if negation.guard is not None:
-                    negation.guard.compile()
-        self._history: dict[str, deque[Event]] = {
-            t: deque() for t in self._negated_types
-        }
         #: partial matches indexed by the *next positive type* they wait
         #: for — an incoming event only touches the partials it can extend
         self._partials_by_next: dict[str, list[_Partial]] = {}
@@ -348,7 +457,7 @@ class PatternOperator(Operator):
 
     def state_size(self) -> int:
         """Number of partial matches, pending matches and history events."""
-        history = sum(len(d) for d in self._history.values())
+        history = sum(len(h.events) for h in self._history.values())
         return self._partial_count() + len(self._pending) + history
 
     def reset_state(self) -> None:
@@ -356,7 +465,7 @@ class PatternOperator(Operator):
             bucket.clear()
         self._pending.clear()
         for history in self._history.values():
-            history.clear()
+            history.reset()
 
     def snapshot_state(self) -> dict[str, Any]:
         """Copy the mutable state (used by the context history store).
@@ -373,7 +482,7 @@ class PatternOperator(Operator):
                 _PendingMatch(dict(p.binding), p.deadline, p.blocked)
                 for p in self._pending
             ],
-            "history": {t: deque(d) for t, d in self._history.items()},
+            "history": {t: deque(h.events) for t, h in self._history.items()},
             "now": self._now,
         }
 
@@ -381,7 +490,8 @@ class PatternOperator(Operator):
         """Restore state saved by :meth:`snapshot_state`.
 
         The snapshot is copied, so it can be restored any number of times
-        (e.g. replaying from one checkpoint repeatedly).
+        (e.g. replaying from one checkpoint repeatedly).  Only the history
+        deques are stored; the key buckets are rebuilt from them.
         """
         for bucket in self._partials_by_next.values():
             bucket.clear()
@@ -391,7 +501,8 @@ class PatternOperator(Operator):
             _PendingMatch(dict(p.binding), p.deadline, p.blocked)
             for p in snapshot["pending"]
         ]
-        self._history = {t: deque(d) for t, d in snapshot["history"].items()}
+        for type_name, history in self._history.items():
+            history.reset(snapshot["history"].get(type_name, ()))
         self._now = snapshot["now"]
         self._expired_at = float("-inf")
 
@@ -402,9 +513,7 @@ class PatternOperator(Operator):
             dropped += len(bucket) - len(kept)
             bucket[:] = kept
         for history in self._history.values():
-            while history and history[0].timestamp < t:
-                history.popleft()
-                dropped += 1
+            dropped += history.expire_before(t)
         return dropped
 
     # ------------------------------------------------------------------
@@ -421,7 +530,6 @@ class PatternOperator(Operator):
 
     def on_time_advance(self, now: TimePoint, ctx: ExecutionContext) -> list[Event]:
         self._now = max(self._now, now)
-        self._expire(now)
         return self._flush_pending(now)
 
     def _consume(self, event: Event) -> list[Event]:
@@ -434,7 +542,9 @@ class PatternOperator(Operator):
         # Negated-type events may block pending trailing-negation matches.
         if event.type_name in self._negated_types:
             self._block_pending(event)
-            self._history[event.type_name].append(event)
+            history = self._history.get(event.type_name)
+            if history is not None and history.may_block(event):
+                history.append(event)
         # Horizon expiry is idempotent at a fixed ``_now``, so it only needs
         # to run when time advanced — or when a late event arrives, which
         # the per-event expiry used to drop from history immediately.
@@ -493,20 +603,37 @@ class PatternOperator(Operator):
 
         For leading negation (``index == 0``) the forbidden interval is the
         retention horizon up to the event; otherwise it is strictly between
-        the two positive events.
+        the two positive events.  Guards run on ``binding`` itself, with
+        the negated variable set for the call.
         """
+        high = event.timestamp
         for negation in plan.gap_negations[index]:
-            low = previous_time if index > 0 else event.timestamp - self.retention
-            for blocked in self._history[negation.inner.type_name]:
+            candidates = self._history[negation.type_name].candidates(
+                negation, binding
+            )
+            low = previous_time if index > 0 else high - self.retention
+            var, guard = negation.var, negation.guard
+            shadowed = binding.get(var)
+            for blocked in candidates:
                 t = blocked.timestamp
-                if index > 0 and not (low < t < event.timestamp):
+                if index > 0 and not (low < t < high):
                     continue
-                if index == 0 and not (low <= t < event.timestamp):
+                if index == 0 and not (low <= t < high):
                     continue
                 if blocked is event:
                     continue
-                if self._guard_holds(negation, blocked, binding):
+                if guard is None:
                     return False
+                binding[var] = blocked
+                try:
+                    if guard(binding):
+                        return False  # ``binding`` is dropped with the match
+                except ExpressionError:
+                    pass
+            if shadowed is None:
+                binding.pop(var, None)
+            else:
+                binding[var] = shadowed
         return True
 
     def _guard_holds(
@@ -517,7 +644,7 @@ class PatternOperator(Operator):
         guard_binding = dict(binding)
         guard_binding[negation.inner.var] = blocked
         try:
-            # compiled (and memoized) at plan-build time in __init__
+            # compiled (and memoized) at plan-build time in _analyze
             return bool(negation.guard.compile()(guard_binding))
         except ExpressionError:
             return False
@@ -568,9 +695,6 @@ class PatternOperator(Operator):
         self._pending = remaining
         return emitted
 
-    def _expire(self, now: TimePoint) -> None:
-        self._now = max(self._now, now)
-
     def _expire_horizon(self) -> None:
         self._expired_at = self._now
         horizon = self._now - self.retention
@@ -579,5 +703,4 @@ class PatternOperator(Operator):
         for bucket in self._partials_by_next.values():
             bucket[:] = [p for p in bucket if p.last_time >= horizon]
         for history in self._history.values():
-            while history and history[0].timestamp < horizon:
-                history.popleft()
+            history.expire_before(horizon)

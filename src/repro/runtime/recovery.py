@@ -137,14 +137,18 @@ class RecoveryManager:
         strictly greater than the watermark of the checkpoint the last
         :meth:`recover` actually restored (all of them if nothing was
         restored) and feeds them through an incremental session, returning
-        the derived outputs.
+        the derived outputs.  The session is closed before returning, so
+        the backend's run ends here.
         """
         watermark = self._last_restored
         suffix = [
             e for e in events if watermark is None or e.timestamp > watermark
         ]
         session = EngineSession(engine)
-        return session.feed(suffix)
+        outputs = session.feed(suffix)
+        outputs.extend(session.flush())
+        session.close()
+        return outputs
 
     def recover_and_replay(
         self, engine: "CaesarEngine", events: Iterable[Event]

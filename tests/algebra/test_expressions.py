@@ -16,6 +16,7 @@ from repro.algebra.expressions import (
     conjoin,
     conjuncts,
     const,
+    split_guard,
 )
 from repro.errors import ExpressionError
 from repro.events.event import Event
@@ -145,6 +146,44 @@ class TestConjunctHelpers:
     def test_conjoin_single(self):
         single = const(42)
         assert conjoin([single]) is single
+
+
+class TestSplitGuard:
+    def test_paper_guard_keys_on_the_bare_attribute(self):
+        key = attr("vid", "p1").eq(attr("vid", "p2"))
+        shifted = (attr("sec", "p1") + 30).eq(attr("sec", "p2"))
+        keys, own, residual = split_guard(And(shifted, key), "p1")
+        assert keys == [("vid", attr("vid", "p2"))]
+        assert own == []
+        assert residual == [shifted]
+
+    def test_key_on_either_side_and_own_conjuncts(self):
+        reversed_key = attr("vid", "p").eq(attr("vid", "n"))
+        own = attr("volume", "n").gt(950)
+        constant = const(True)
+        keys, owns, residual = split_guard(
+            conjoin([reversed_key, own, constant]), "n"
+        )
+        assert keys == [("vid", attr("vid", "p"))]
+        assert owns == [own, constant]
+        assert residual == []
+
+    def test_non_keys_stay_residual(self):
+        shapes = [
+            # negated side is not a bare attribute
+            (attr("vid", "n") + 0).eq(attr("vid", "p")),
+            # other side reads the negated variable too
+            attr("vid", "n").eq(attr("sec", "n") + attr("vid", "p")),
+            # not an equality
+            attr("vid", "n").ne(attr("vid", "p")),
+            Or(attr("vid", "n").eq(attr("vid", "p")), const(False)),
+        ]
+        for shape in shapes:
+            assert split_guard(shape, "n") == ([], [], [shape])
+
+    def test_constant_equality_is_own(self):
+        conjunct = attr("lane", "n").eq("exit")
+        assert split_guard(conjunct, "n") == ([], [conjunct], [])
 
 
 # Random expression trees for the compile/evaluate parity check.  "speed"

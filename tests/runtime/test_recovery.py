@@ -1,6 +1,7 @@
 """Tests for checkpoint autosave and crash recovery by suffix replay."""
 
 import json
+import threading
 
 import pytest
 
@@ -168,3 +169,27 @@ class TestFallbackRestore:
         assert manager.recover(fresh) is None
         assert manager.invalid_checkpoints == stored
         assert manager.recovery_replays == 0
+
+
+def shard_threads():
+    return {
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("caesar-shard-") and thread.is_alive()
+    }
+
+
+class TestReplayEndsItsRun:
+    """``replay`` must end the backend run it opens; the thread backend's
+    ``caesar-shard-*`` workers make a leaked run observable."""
+
+    def test_replay_leaves_no_shard_threads(self):
+        manager = RecoveryManager(interval=25)
+        crash_and_collect(manager, 90)
+        before = shard_threads()
+        fresh = SupervisedEngine(build_model(), recovery=manager, backend="thread")
+        watermark, replayed = manager.recover_and_replay(fresh, events())
+        assert not shard_threads() - before
+        reference = CaesarEngine(build_model()).run(EventStream(events()))
+        assert outputs_to_rows(replayed) == outputs_to_rows(
+            [e for e in reference.outputs if e.timestamp > watermark]
+        )
