@@ -78,8 +78,8 @@ bench-aggregation:
 bench-hotpath:
 	$(PYTHON) -m pytest benchmarks/bench_hotpath.py --benchmark-only
 
-# serial vs thread vs process execution backend throughput (asserts the
-# backends produce identical outputs before printing any number)
+# serial vs process[2] execution backend throughput (asserts the backends
+# produce identical outputs before printing any number)
 bench-parallel:
 	$(PYTHON) benchmarks/bench_parallel.py
 

@@ -39,13 +39,6 @@ def binding_from_event(event: Event, var: str = SELF_VAR) -> dict[str, Event]:
     return {var: event}
 
 
-#: Row function over a tuple of attribute values (see ``compile_batch``).
-RowFn = Callable[[tuple], Any]
-
-#: Memoization sentinel: ``None`` is a valid ``compile_batch`` result.
-_BATCH_UNSET = object()
-
-
 class Expr:
     """Base class of all expression nodes."""
 
@@ -65,38 +58,6 @@ class Expr:
         return compiled
 
     def _compile(self) -> Callable[[Binding], Any]:
-        raise NotImplementedError
-
-    def compile_batch(self) -> "tuple[tuple[str, ...], RowFn] | None":
-        """Lower to batch mode: a row function over attribute columns.
-
-        Returns ``(attrs, rowfn)`` where ``attrs`` is the sorted tuple of
-        attribute names the expression reads and ``rowfn`` maps one row —
-        a tuple of values positionally aligned with ``attrs`` — to the
-        expression's value.  A columnar batch evaluates the predicate by
-        zipping the referenced columns row-wise, never building a binding
-        dict or touching an event object; :class:`ExpressionError`
-        semantics (type errors, division by zero) match :meth:`compile`
-        exactly, and a segment lacking a referenced attribute corresponds
-        to the per-event missing-attribute error (every row errors).
-
-        Returns ``None`` for expressions that reference named pattern
-        variables — columnar batches carry plain events, bound as the
-        anonymous ``SELF_VAR``, so only self-variable predicates have a
-        column representation.  Memoized like :meth:`compile`.
-        """
-        cached = self.__dict__.get("_compiled_batch", _BATCH_UNSET)
-        if cached is _BATCH_UNSET:
-            if self.variables() - {SELF_VAR}:
-                cached = None
-            else:
-                attrs = tuple(sorted({a for _, a in self.attributes()}))
-                index = {attr: i for i, attr in enumerate(attrs)}
-                cached = (attrs, self._compile_row(index))
-            object.__setattr__(self, "_compiled_batch", cached)
-        return cached
-
-    def _compile_row(self, index: Mapping[str, int]) -> RowFn:
         raise NotImplementedError
 
     def attributes(self) -> set[tuple[str, str]]:
@@ -168,10 +129,6 @@ class Constant(Expr):
         value = self.value
         return lambda binding: value
 
-    def _compile_row(self, index: Mapping[str, int]) -> "RowFn":
-        value = self.value
-        return lambda row: value
-
     def attributes(self) -> set[tuple[str, str]]:
         return set()
 
@@ -227,10 +184,6 @@ class AttrRef(Expr):
                 ) from None
 
         return run
-
-    def _compile_row(self, index: Mapping[str, int]) -> "RowFn":
-        position = index[self.attr]
-        return lambda row: row[position]
 
     def attributes(self) -> set[tuple[str, str]]:
         return {(self.var, self.attr)}
@@ -341,65 +294,6 @@ class BinaryOp(Expr):
 
         return run
 
-    def _compile_row(self, index: Mapping[str, int]) -> "RowFn":
-        # Mirrors ``_compile`` — same constant folding, same error mapping
-        # — over positional rows instead of binding dicts.
-        op = self.op
-        func = _ARITHMETIC.get(op) or _COMPARISON[op]
-        label = str(self)
-        if isinstance(self.right, Constant):
-            left = self.left._compile_row(index)
-            b_const = self.right.value
-
-            def run(row: tuple) -> Any:
-                a = left(row)
-                try:
-                    return func(a, b_const)
-                except TypeError as exc:
-                    raise ExpressionError(
-                        f"cannot apply {op!r} to {a!r} and {b_const!r}"
-                    ) from exc
-                except ZeroDivisionError as exc:
-                    raise ExpressionError(
-                        f"division by zero in {label}"
-                    ) from exc
-
-            return run
-        if isinstance(self.left, Constant):
-            a_const = self.left.value
-            right = self.right._compile_row(index)
-
-            def run(row: tuple) -> Any:
-                b = right(row)
-                try:
-                    return func(a_const, b)
-                except TypeError as exc:
-                    raise ExpressionError(
-                        f"cannot apply {op!r} to {a_const!r} and {b!r}"
-                    ) from exc
-                except ZeroDivisionError as exc:
-                    raise ExpressionError(
-                        f"division by zero in {label}"
-                    ) from exc
-
-            return run
-        left = self.left._compile_row(index)
-        right = self.right._compile_row(index)
-
-        def run(row: tuple) -> Any:
-            a = left(row)
-            b = right(row)
-            try:
-                return func(a, b)
-            except TypeError as exc:
-                raise ExpressionError(
-                    f"cannot apply {op!r} to {a!r} and {b!r}"
-                ) from exc
-            except ZeroDivisionError as exc:
-                raise ExpressionError(f"division by zero in {label}") from exc
-
-        return run
-
     def attributes(self) -> set[tuple[str, str]]:
         return self.left.attributes() | self.right.attributes()
 
@@ -428,11 +322,6 @@ class And(Expr):
         right = self.right.compile()
         return lambda binding: bool(left(binding)) and bool(right(binding))
 
-    def _compile_row(self, index: Mapping[str, int]) -> "RowFn":
-        left = self.left._compile_row(index)
-        right = self.right._compile_row(index)
-        return lambda row: bool(left(row)) and bool(right(row))
-
     def attributes(self) -> set[tuple[str, str]]:
         return self.left.attributes() | self.right.attributes()
 
@@ -457,11 +346,6 @@ class Or(Expr):
         right = self.right.compile()
         return lambda binding: bool(left(binding)) or bool(right(binding))
 
-    def _compile_row(self, index: Mapping[str, int]) -> "RowFn":
-        left = self.left._compile_row(index)
-        right = self.right._compile_row(index)
-        return lambda row: bool(left(row)) or bool(right(row))
-
     def attributes(self) -> set[tuple[str, str]]:
         return self.left.attributes() | self.right.attributes()
 
@@ -481,10 +365,6 @@ class Not(Expr):
     def _compile(self) -> Callable[[Binding], bool]:
         operand = self.operand.compile()
         return lambda binding: not bool(operand(binding))
-
-    def _compile_row(self, index: Mapping[str, int]) -> "RowFn":
-        operand = self.operand._compile_row(index)
-        return lambda row: not bool(operand(row))
 
     def attributes(self) -> set[tuple[str, str]]:
         return self.operand.attributes()

@@ -13,7 +13,6 @@ from repro.algebra.expressions import SELF_VAR, Expr
 from repro.algebra.operators import ExecutionContext, Operator
 from repro.algebra.pattern import MatchEvent, binding_of
 from repro.errors import ExpressionError
-from repro.events.batch import ColumnarEvents
 from repro.events.event import Event
 from repro.events.types import EventType
 
@@ -24,14 +23,6 @@ class Filter(Operator):
     Events whose binding lacks an attribute referenced by ``θ`` are dropped
     (a predicate over a missing attribute cannot be satisfied), mirroring how
     schema-on-read stream systems treat heterogeneous inputs.
-
-    A :class:`~repro.events.batch.ColumnarEvents` batch takes the
-    vectorized path when the predicate has a batch compilation
-    (self-variable predicates): per type segment the referenced columns
-    are zipped row-wise through one row function — no binding dict, no
-    event-object attribute lookups — with the object lane falling back to
-    the per-event closure.  Output order, drop semantics and cost
-    accounting are identical to the per-event path.
     """
 
     unit_cost = 1.0
@@ -42,12 +33,8 @@ class Filter(Operator):
         #: predicate lowered to closures once at plan-build time; the
         #: interpreted ``predicate.evaluate`` stays as the reference path
         self._predicate_fn = predicate.compile()
-        #: batch-mode lowering, or None for multi-variable predicates
-        self._batch_plan = predicate.compile_batch()
 
     def process(self, events: list[Event], ctx: ExecutionContext) -> list[Event]:
-        if self._batch_plan is not None and type(events) is ColumnarEvents:
-            return self._process_columnar(events)
         out = []
         predicate_fn = self._predicate_fn
         for event in events:
@@ -56,49 +43,6 @@ class Filter(Operator):
                     out.append(event)
             except ExpressionError:
                 continue
-        self._account(len(events), len(out), self.unit_cost * len(events))
-        return out
-
-    def _process_columnar(self, events: ColumnarEvents) -> list[Event]:
-        attrs, rowfn = self._batch_plan
-        view = events.view()
-        keep = bytearray(view.n)
-        for segment in view.regular:
-            columns = []
-            for attr in attrs:
-                column = segment.columns.get(attr)
-                if column is None:
-                    break
-                columns.append(column)
-            else:
-                indices = segment.indices
-                if len(columns) == 1:
-                    # The dominant predicate shape: one attribute compared
-                    # against constants — one column scan, one-tuple rows.
-                    column = columns[0]
-                    for row, index in enumerate(indices):
-                        try:
-                            if rowfn((column[row],)):
-                                keep[index] = 1
-                        except ExpressionError:
-                            pass
-                else:
-                    for row, index in enumerate(indices):
-                        try:
-                            if rowfn(tuple(c[row] for c in columns)):
-                                keep[index] = 1
-                        except ExpressionError:
-                            pass
-            # A segment lacking a referenced attribute drops all its rows:
-            # every per-event evaluation would raise ExpressionError.
-        predicate_fn = self._predicate_fn
-        for index in view.irregular:
-            try:
-                if predicate_fn(binding_of(events[index])):
-                    keep[index] = 1
-            except ExpressionError:
-                pass
-        out = [event for event, kept in zip(events, keep) if kept]
         self._account(len(events), len(out), self.unit_cost * len(events))
         return out
 

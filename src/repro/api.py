@@ -16,7 +16,7 @@ of them::
         observability="trace",
         partition_by=lambda e: e.payload["segment"],
     ))
-    engine = create_engine(model, config, backend="thread")  # override
+    engine = create_engine(model, config, backend="serial")  # override
 
 The config objects are *frozen* dataclasses: they can be shared, compared,
 put in test fixtures and partially overridden with keyword arguments to

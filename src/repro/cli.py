@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--seed", type=int, default=7)
     stats.add_argument(
         "--backend", default=None,
-        help="execution backend (serial | thread | process)",
+        help="execution backend (serial | process)",
     )
     stats.add_argument(
         "--format", choices=("human", "prometheus", "json"), default="human"
@@ -154,10 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--queue-size", type=int, default=1024,
         help="ingestion queue bound; a full queue blocks stdin reading "
         "(backpressure)",
-    )
-    serve.add_argument(
-        "--backend", default=None,
-        help="execution backend (serial | thread)",
     )
     serve.add_argument(
         "--summary", action="store_true",
@@ -522,7 +518,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = create_engine(
         scenario.build_model(),
         EngineConfig(
-            backend=args.backend,
             partition_by=scenario.partition_by,
             retention=scenario.retention,
         ),

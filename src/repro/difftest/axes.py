@@ -9,7 +9,8 @@ Each axis names an equivalence the engine stack promises:
 ``context``
     Context-aware routing/suspension vs the context-independent baseline.
 ``backend``
-    Serial execution vs the thread- and process-sharded backends.
+    Serial execution vs the process-sharded backend (skipped where the
+    ``fork`` start method is unavailable).
 ``checkpoint``
     One straight run vs checkpoint mid-stream, restore into a fresh
     engine, replay the suffix.
@@ -23,8 +24,8 @@ Each axis names an equivalence the engine stack promises:
     byte-identical — same seed, same stream, same decisions everywhere.
 ``aggregate``
     Incremental (online) SEQ aggregation vs the materialize-then-fold
-    oracle, compared byte-identically across the serial, thread and
-    process backends; scenarios carrying a user-window schedule also
+    oracle, compared byte-identically across the serial and process
+    backends; scenarios carrying a user-window schedule also
     compare non-shared vs shared execution of aggregate queries that
     fuse into one propagation pass.
 ``service``
@@ -104,18 +105,13 @@ def comparisons_for(scenario: Scenario, axis: str) -> list[Comparison]:
             RunSpec(label="context-independent", context_aware=False),
         )]
     if axis == "backend":
-        pairs = [Comparison(
-            axis, "serial-vs-thread",
+        if not _process_backend_available():
+            return []
+        return [Comparison(
+            axis, "serial-vs-process",
             _BASELINE,
-            RunSpec(label="backend:thread", backend="thread"),
+            RunSpec(label="backend:process", backend="process"),
         )]
-        if _process_backend_available():
-            pairs.append(Comparison(
-                axis, "serial-vs-process",
-                _BASELINE,
-                RunSpec(label="backend:process", backend="process"),
-            ))
-        return pairs
     if axis == "checkpoint":
         return [Comparison(
             axis, "straight-vs-restored",
@@ -137,11 +133,6 @@ def comparisons_for(scenario: Scenario, axis: str) -> list[Comparison]:
                 _BASELINE,
                 RunSpec(label="shed:on", shed=True),
             ),
-            Comparison(
-                axis, "shed-serial-vs-thread",
-                shed_serial,
-                RunSpec(label="shed:thread", backend="thread", shed=True),
-            ),
         ]
         if _process_backend_available():
             pairs.append(Comparison(
@@ -159,11 +150,6 @@ def comparisons_for(scenario: Scenario, axis: str) -> list[Comparison]:
                     label="aggregate:materialize", aggregation="materialize"
                 ),
                 online_serial,
-            ),
-            Comparison(
-                axis, "aggregate-serial-vs-thread",
-                online_serial,
-                RunSpec(label="aggregate:thread", backend="thread"),
             ),
         ]
         if _process_backend_available():

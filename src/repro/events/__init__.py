@@ -10,19 +10,14 @@ from repro.events.types import AttributeSpec, EventSchema, EventType
 from repro.events.event import Event
 from repro.events.stream import EventStream, StreamBatch, merge_streams
 from repro.events.batch import (
-    COLUMNAR_ENV_VAR,
     BatchStats,
-    ColumnarEvents,
     EventBatch,
     TypeDirectory,
-    columnar_enabled,
 )
 
 __all__ = [
     "AttributeSpec",
     "BatchStats",
-    "COLUMNAR_ENV_VAR",
-    "ColumnarEvents",
     "Event",
     "EventBatch",
     "EventSchema",
@@ -31,7 +26,6 @@ __all__ = [
     "StreamBatch",
     "TimeInterval",
     "TypeDirectory",
-    "columnar_enabled",
     "interval_contains",
     "intervals_overlap",
     "merge_streams",

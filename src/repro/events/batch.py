@@ -1,29 +1,13 @@
-"""Columnar event batches and the shared-memory wire codec.
+"""Columnar event batches: the process backend's shared-memory wire codec.
 
-The engine's hot path moves *batches* of events — all events of one
-timestamp — between the scheduler, the routers and (for the process
-backend) across process boundaries.  This module gives those batches a
-columnar representation, the batch-oriented evaluation trick modern CER
-engines use to keep per-event interpreter overhead off the critical path:
-
-:class:`ColumnarEvents`
-    A ``list`` of events carrying a lazily-built columnar *view*: per
-    event type, the payload attributes as parallel value columns, plus the
-    batch's type-name set (computed once instead of once per router).
-    Being a plain ``list`` subclass it flows through every operator
-    unchanged; operators that know about columns (:class:`~repro.algebra.
-    relational_ops.Filter` via :meth:`~repro.algebra.expressions.Expr.
-    compile_batch`) evaluate whole columns per segment instead of one
-    binding dict per event.
-
-:class:`EventBatch`
-    The wire codec.  ``encode`` packs a batch into one contiguous buffer:
-    a pickled header (layout, object lanes) followed by 8-byte-aligned raw
-    ``int64``/``float64`` column buffers.  ``decode`` reads columns as
-    zero-copy :class:`memoryview` casts straight out of the source buffer
-    — typically a :mod:`multiprocessing.shared_memory` ring segment — so
-    the only per-value work on the receiving side is rebuilding the event
-    objects themselves, never a pickle round-trip of their payloads.
+:class:`EventBatch` packs all events of one timestamp into one contiguous
+buffer: a pickled header (layout, object lanes) followed by 8-byte-aligned
+raw ``int64``/``float64`` column buffers.  ``decode`` reads columns as
+zero-copy :class:`memoryview` casts straight out of the source buffer —
+typically a :mod:`multiprocessing.shared_memory` ring segment — so the only
+per-value work on the receiving side is rebuilding the event objects
+themselves, never a pickle round-trip of their payloads.
+:func:`build_view` is the columnar decomposition the encoder works from.
 
 Regularity rules — what lands in typed columns vs the object lane:
 
@@ -37,41 +21,23 @@ Regularity rules — what lands in typed columns vs the object lane:
   ``float`` — mixed or exotic columns fall back to a pickled object
   column.  Exact-type checks keep decoded payloads bit-identical to the
   originals, which the backend-parity contract depends on.
-
-The serial engine wraps each transaction's events in
-:class:`ColumnarEvents` unless the ``CAESAR_COLUMNAR`` environment
-variable disables it (``0``/``off``) — the switch the differential
-harness uses to prove the columnar path changes nothing observable.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import struct
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.events.event import Event, rehydrate_event
 from repro.events.timebase import TimeInterval
 from repro.events.types import EventType
 
-#: Environment variable gating the serial columnar fast path (``0`` /
-#: ``off`` disables it; default on).  Read at engine construction.
-COLUMNAR_ENV_VAR = "CAESAR_COLUMNAR"
-
-_OFF_VALUES = frozenset({"0", "off", "false", "no", "none", "disabled"})
-
-
-def columnar_enabled() -> bool:
-    """Is the serial columnar fast path enabled (``CAESAR_COLUMNAR``)?"""
-    value = os.environ.get(COLUMNAR_ENV_VAR, "")
-    return value.strip().lower() not in _OFF_VALUES
-
 
 # ---------------------------------------------------------------------------
-# in-process columnar view
+# columnar view
 # ---------------------------------------------------------------------------
 
 
@@ -128,44 +94,6 @@ def build_view(events: Sequence[Event]) -> BatchView:
         for key in segment.keys:
             segment.columns[key].append(payload[key])
     return BatchView(len(events), list(segments.values()), irregular)
-
-
-class ColumnarEvents(list):
-    """A list of events with a cached columnar view and type-name set.
-
-    The view and type names are computed lazily and cached; the list must
-    not be mutated afterwards (the engine never mutates transaction
-    batches in place — it rebinds).
-    """
-
-    __slots__ = ("_view", "_type_names")
-
-    def __init__(self, events: Sequence[Event] = ()):
-        super().__init__(events)
-        self._view: BatchView | None = None
-        self._type_names: frozenset[str] | None = None
-
-    @property
-    def type_names(self) -> frozenset[str]:
-        """The batch's event-type names, computed once per batch."""
-        names = self._type_names
-        if names is None:
-            names = frozenset(event.type_name for event in self)
-            self._type_names = names
-        return names
-
-    def view(self) -> BatchView:
-        """The columnar decomposition, built on first use."""
-        view = self._view
-        if view is None:
-            view = build_view(self)
-            self._view = view
-        return view
-
-    def __reduce__(self):
-        # Pickle as content only: cached views hold no wire-format state
-        # worth shipping and are rebuilt lazily on the other side.
-        return (ColumnarEvents, (list(self),))
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +209,7 @@ class EventBatch:
         8><int64/float64 buffers, each 8-aligned>``.  Object columns and
         irregular events travel inside the header pickle.
         """
-        if isinstance(events, ColumnarEvents):
-            view = events.view()
-        else:
-            view = build_view(events)
+        view = build_view(events)
 
         raw_buffers: list[array] = []
         raw_offset = 0
@@ -373,9 +298,7 @@ class EventBatch:
         return cls(bytes(data), stats, new_types, directory)
 
     @staticmethod
-    def decode(
-        buf, directory: TypeDirectory | None = None
-    ) -> ColumnarEvents:
+    def decode(buf, directory: TypeDirectory | None = None) -> list[Event]:
         """Rebuild the batch from an encoded buffer.
 
         ``buf`` is any bytes-like object — typically a memoryview into a
@@ -435,7 +358,7 @@ class EventBatch:
                 )
         for index, event in header["irregular"]:
             out[index] = event
-        return ColumnarEvents(out)
+        return out
 
 
 def _aligned(position: int) -> int:

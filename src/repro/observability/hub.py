@@ -30,7 +30,7 @@ arguments always win over the environment.
 Worker fan-in mirrors the supervision state protocol: forked shard workers
 snapshot a baseline at startup, ship deltas home at end of run, and the
 parent absorbs them — deterministic counters end up byte-identical across
-the serial, thread and process backends.
+the serial and process backends.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ The registry is the storage half of the observability subsystem
    backends accumulate into forked registry copies; :meth:`MetricsRegistry.
    baseline` / :meth:`delta` / :meth:`merge_delta` implement the same
    snapshot-delta-absorb protocol the supervision state uses, so counters
-   and histograms are byte-identical across serial, thread and process
+   and histograms are byte-identical across the serial and process
    backends.  Gauges are point-in-time values refreshed by the parent and
    are deliberately excluded from fan-in.
 

@@ -28,7 +28,6 @@ from repro.runtime.backend import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     resolve_backend,
 )
 from repro.runtime.baseline import ContextIndependentEngine
@@ -78,7 +77,6 @@ __all__ = [
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
     "ContextAwareStreamRouter",
     "ContextHistory",
     "ContextIndependentEngine",

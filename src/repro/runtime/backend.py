@@ -8,21 +8,17 @@ transactions of one timestamp are executed:
 :class:`SerialBackend`
     One after the other on the calling thread — the reference semantics.
 
-:class:`ThreadPoolBackend`
-    All partitions' transactions for a timestamp run concurrently on a pool
-    of shard worker threads with **shard affinity**: a partition is pinned
-    to one worker for the whole run, so its window store, routers, garbage
-    collector and context history stay worker-local and lock-free.
-
 :class:`ProcessPoolBackend`
-    The same sharding across a **persistent pool** of forked worker
-    processes (one engine state copy per worker, copy-on-write, spawned
-    once per engine and reused across runs).  Events cross the process
-    boundary as columnar :class:`~repro.events.batch.EventBatch` frames
-    written into per-worker ``multiprocessing.shared_memory`` rings, with
-    per-batch pipe pickling as the fallback; per-partition counters,
-    windows and supervision state come back as end-of-run deltas merged
-    into the parent engine.
+    All partitions' transactions for a timestamp run concurrently across a
+    **persistent pool** of forked worker processes with **shard affinity**:
+    a partition is pinned to one worker for the whole run, so its window
+    store, routers and context history stay worker-local (one engine state
+    copy per worker, copy-on-write, spawned once per engine and reused
+    across runs).  Events cross the process boundary as columnar
+    :class:`~repro.events.batch.EventBatch` frames written into per-worker
+    ``multiprocessing.shared_memory`` rings, with per-batch pipe pickling
+    as the fallback; per-partition counters, windows and supervision state
+    come back as end-of-run deltas merged into the parent engine.
 
 All backends merge each timestamp's outputs **deterministically** in the
 scheduler's transaction order — the distributor's partition order, itself
@@ -32,15 +28,13 @@ order, so serial and parallel runs produce identical
 
 The backend for an engine is chosen with the ``backend=`` constructor
 argument or the ``CAESAR_BACKEND`` environment variable (``serial`` |
-``thread`` | ``process``).
+``process``).
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import queue
-import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -215,95 +209,6 @@ def default_worker_count() -> int:
             )
         return workers
     return max(2, min(8, os.cpu_count() or 1))
-
-
-class ThreadPoolBackend(ExecutionBackend):
-    """Shard-affine worker threads sharing the engine's address space.
-
-    A partition's runtime is only ever touched by its pinned worker, so no
-    per-partition locking is needed; the engine-level structures workers do
-    share (the dead-letter queue, supervision counters) are individually
-    thread-safe.  The fan-in barrier at the end of each timestamp preserves
-    the paper's correctness condition: all transactions of time ``t`` commit
-    before any transaction of time ``t+1`` starts.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: int | None = None):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers or default_worker_count()
-        self._queues: list[queue.Queue] = []
-        self._threads: list[threading.Thread] = []
-        self._shard_map: _ShardMap | None = None
-
-    def begin_run(self, engine):
-        self._shard_map = _ShardMap(self.max_workers)
-        self._queues = [queue.Queue() for _ in range(self.max_workers)]
-        self._threads = [
-            threading.Thread(
-                target=self._worker_loop,
-                args=(shard_queue,),
-                name=f"caesar-shard-{index}",
-                daemon=True,
-            )
-            for index, shard_queue in enumerate(self._queues)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    @staticmethod
-    def _worker_loop(shard_queue: queue.Queue) -> None:
-        while True:
-            job = shard_queue.get()
-            if job is None:
-                return
-            execute, items, results, errors, done = job
-            try:
-                for index, transaction in items:
-                    try:
-                        results[index] = execute(transaction)
-                    except BaseException as exc:  # noqa: BLE001 - forwarded
-                        errors[index] = exc
-                        break  # a failing partition aborts its shard's lane
-            finally:
-                done.set()
-
-    def execute(self, t, transactions, engine):
-        if not transactions:
-            return []
-        # Partition runtimes are created on the scheduler thread, in
-        # transaction order, before any worker touches them: creation stays
-        # deterministic and the per-partition state needs no lock.
-        for transaction in transactions:
-            engine._partition(transaction.partition)
-        if len(transactions) == 1:
-            return [engine._execute_transaction(transactions[0])]
-        results: list = [None] * len(transactions)
-        errors: dict[int, BaseException] = {}
-        barriers: list[threading.Event] = []
-        for shard, items in self._shard_map.group(transactions).items():
-            done = threading.Event()
-            barriers.append(done)
-            self._queues[shard].put(
-                (engine._execute_transaction, items, results, errors, done)
-            )
-        for done in barriers:
-            done.wait()
-        if errors:
-            # Deterministic error propagation: surface the failure of the
-            # earliest transaction in merge order, as a serial run would.
-            raise errors[min(errors)]
-        return results
-
-    def end_run(self, engine):
-        for shard_queue in self._queues:
-            shard_queue.put(None)
-        for thread in self._threads:
-            thread.join()
-        self._queues = []
-        self._threads = []
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +454,12 @@ class ProcessPoolBackend(ExecutionBackend):
         if getattr(engine, "recovery", None) is not None:
             return (
                 "checkpoint autosave needs partition state in the engine "
-                "process; use SerialBackend or ThreadPoolBackend with a "
-                "RecoveryManager"
+                "process; use SerialBackend with a RecoveryManager"
             )
         if engine.on_context_transition is not None:
             return (
                 "on_context_transition callbacks fire inside worker "
-                "processes and would be lost; use SerialBackend or "
-                "ThreadPoolBackend"
+                "processes and would be lost; use SerialBackend"
             )
         return None
 
@@ -655,7 +558,7 @@ class ProcessPoolBackend(ExecutionBackend):
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeEngineError(
                 "ProcessPoolBackend requires the fork start method "
-                "(POSIX); use ThreadPoolBackend on this platform"
+                "(POSIX); use SerialBackend on this platform"
             )
         problem = self._incompatibility(engine)
         if problem is not None:
@@ -827,8 +730,6 @@ class ProcessPoolBackend(ExecutionBackend):
 #: environment variable).
 BACKENDS: dict[str, Callable[[], ExecutionBackend]] = {
     "serial": SerialBackend,
-    "thread": ThreadPoolBackend,
-    "threads": ThreadPoolBackend,
     "process": ProcessPoolBackend,
     "processes": ProcessPoolBackend,
 }

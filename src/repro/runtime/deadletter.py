@@ -62,8 +62,8 @@ class DeadLetterQueue:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._entries: deque[DeadLetterEntry] = deque()
-        #: guards the entry deque and counters: shard workers of the thread
-        #: execution backend dead-letter concurrently into one queue
+        #: guards the entry deque and counters: ``engine.dead_letters`` is
+        #: public and may be read while an ``EngineService`` feeder writes
         self._lock = threading.Lock()
         #: total entries ever enqueued, by reason (evictions do not subtract)
         self.counts_by_reason: dict[str, int] = {}

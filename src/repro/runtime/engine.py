@@ -31,7 +31,6 @@ from repro.algebra.seq_aggregate import (
 from repro.core.model import CaesarModel
 from repro.core.windows import ContextWindow, ContextWindowStore
 from repro.errors import RuntimeEngineError
-from repro.events.batch import ColumnarEvents, columnar_enabled
 from repro.events.event import Event
 from repro.events.stream import EventStream
 from repro.events.timebase import TimePoint
@@ -468,9 +467,9 @@ class CaesarEngine:
     backend:
         How each timestamp's stream transactions execute: an
         :class:`~repro.runtime.backend.ExecutionBackend` instance, a name
-        (``"serial"`` | ``"thread"`` | ``"process"``), or ``None`` to
-        consult the ``CAESAR_BACKEND`` environment variable (default:
-        serial).  Parallel backends shard by partition and merge outputs
+        (``"serial"`` | ``"process"``), or ``None`` to consult the
+        ``CAESAR_BACKEND`` environment variable (default: serial).  The
+        process backend shards by partition and merges outputs
         deterministically, so reports are identical across backends.
     observability:
         An :class:`~repro.observability.Observability` facade, a mode name
@@ -538,9 +537,6 @@ class CaesarEngine:
         #: backend falls back for an incompatible engine (``for_engine``)
         self._effective_backend = self.backend
         self.observability = resolve_observability(observability)
-        #: wrap each transaction's event list in ColumnarEvents so filters
-        #: and routers can take the vectorized path (CAESAR_COLUMNAR)
-        self._columnar = columnar_enabled()
         #: preregistered instrument handles — the run loop touches these
         #: directly, never the registry (no dict lookups on the hot path)
         self.instruments = EngineInstruments(self.observability.registry)
@@ -1016,20 +1012,13 @@ class CaesarEngine:
         ctx = ExecutionContext(windows=store, now=t)
 
         # Phase 0 — always-active preprocessing stages (e.g. windowed
-        # statistics); their derivations join the batch.  When columnar
-        # mode is on the batch is wrapped in ColumnarEvents (a list
-        # subclass) so downstream filters and interest-set routing can use
-        # the segmented view; re-wrapped after every merge because
-        # ``list + list`` returns a plain list.
+        # statistics); their derivations join the batch.
         events = transaction.events
-        if self._columnar and type(events) is list:
-            events = ColumnarEvents(events)
         for operator in runtime.preprocessors:
             derived = operator.process(events, ctx)
             derived.extend(operator.on_time_advance(t, ctx))
             if derived:
-                merged = list(events) + derived
-                events = ColumnarEvents(merged) if self._columnar else merged
+                events = list(events) + derived
         transaction.events = events
 
         # Phase 1 — context derivation (Section 6.2: derivation for time t

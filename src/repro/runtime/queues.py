@@ -7,16 +7,10 @@ tracks its *progress*: the largest timestamp it has fully distributed.  The
 time-driven scheduler waits for the distributor's progress to pass ``t``
 before executing the transactions of time ``t`` (Section 6.2, "Correct
 Context Management").
-
-Queue operations are guarded by a lock: the parallel execution backends
-(:mod:`repro.runtime.backend`) form transactions on the scheduler thread
-while shard workers may still be draining a previous dispatch, so takes and
-distributes must be safe to interleave across threads.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Callable, Hashable, Iterable
 
@@ -43,7 +37,6 @@ class EventDistributor:
     def __init__(self, partitioner: Partitioner = single_partition):
         self._partitioner = partitioner
         self._queues: dict[PartitionKey, deque[Event]] = {}
-        self._lock = threading.Lock()
         self.progress: TimePoint = -1
         self.distributed = 0
         #: events returned by :meth:`take_exactly` that were *older* than the
@@ -52,33 +45,25 @@ class EventDistributor:
         self.stranded_taken = 0
 
     def distribute(self, events: Iterable[Event]) -> None:
-        with self._lock:
-            for event in events:
-                key = self._partitioner(event)
-                self._queues.setdefault(key, deque()).append(event)
-                self.progress = max(self.progress, event.timestamp)
-                self.distributed += 1
+        for event in events:
+            key = self._partitioner(event)
+            self._queues.setdefault(key, deque()).append(event)
+            self.progress = max(self.progress, event.timestamp)
+            self.distributed += 1
 
     @property
     def partitions(self) -> tuple[PartitionKey, ...]:
-        with self._lock:
-            return tuple(self._queues)
+        return tuple(self._queues)
 
     def pending(self, key: PartitionKey) -> int:
-        with self._lock:
-            queue = self._queues.get(key)
-            return len(queue) if queue else 0
+        queue = self._queues.get(key)
+        return len(queue) if queue else 0
 
     def total_pending(self) -> int:
-        with self._lock:
-            return sum(len(queue) for queue in self._queues.values())
+        return sum(len(queue) for queue in self._queues.values())
 
     def take_until(self, key: PartitionKey, t: TimePoint) -> list[Event]:
         """Dequeue all events of a partition with timestamps ``<= t``."""
-        with self._lock:
-            return self._take_until_locked(key, t)
-
-    def _take_until_locked(self, key: PartitionKey, t: TimePoint) -> list[Event]:
         queue = self._queues.get(key)
         if not queue:
             return []
@@ -96,8 +81,7 @@ class EventDistributor:
         :meth:`take_until` they are *distinguished*: each one is counted in
         :attr:`stranded_taken`.  Events newer than ``t`` stay queued.
         """
-        with self._lock:
-            taken = self._take_until_locked(key, t)
+        taken = self.take_until(key, t)
         for event in taken:
             if event.timestamp < t:
                 self.stranded_taken += 1

@@ -150,14 +150,10 @@ class ContextAwareStreamRouter:
         context_aware = self.context_aware
         plan_timers = self._plan_timers
         # One pass over the batch buckets it by type; each plan then gets a
-        # set-intersection test instead of a per-event scan.  Columnar
-        # batches carry this set precomputed (``ColumnarEvents.type_names``).
-        if context_aware:
-            batch_types = getattr(events, "type_names", None)
-            if batch_types is None:
-                batch_types = frozenset(e.type_name for e in events)
-        else:
-            batch_types = None
+        # set-intersection test instead of a per-event scan.
+        batch_types = (
+            frozenset(e.type_name for e in events) if context_aware else None
+        )
         for context_name, plan in self._plans_by_context.items():
             if context_aware and not store.is_active(context_name):
                 self.batches_suppressed += 1

@@ -94,8 +94,8 @@ class EngineService:
     Parameters
     ----------
     engine:
-        The engine to serve.  Must use an in-process (serial or thread)
-        backend when online deployment is exercised.
+        The engine to serve.  Must use the in-process serial backend when
+        online deployment is exercised.
     max_delay:
         Out-of-order tolerance forwarded to the underlying session's
         reorder buffer; older events are dead-lettered as late.

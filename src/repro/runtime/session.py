@@ -15,9 +15,9 @@ drives, calls its ``step`` once per released timestamp and its ``finish``
 on :meth:`~EngineSession.close`.  What the session adds is only what is
 genuinely incremental — the reorder buffer, the frontier hold
 (``eager=False``) and late accounting.  The engine's configured execution
-backend drives the run, so thread- and process-sharded engines feed
-incrementally too; a step that raises aborts the run (the backend's
-workers are released) and the session keeps re-raising that error.
+backend drives the run, so process-sharded engines feed incrementally
+too; a step that raises aborts the run (the backend's workers are
+released) and the session keeps re-raising that error.
 
 Late arrivals are no longer an error: events flow through a
 :class:`~repro.runtime.reorder.ReorderBuffer` with the session's

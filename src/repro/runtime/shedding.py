@@ -43,8 +43,8 @@ batch)`` through splitmix64 — no wall clock, no ``random`` module, no
 ``event_id`` — and the controller's feedback signals are quantized (cost
 to 1e-6, pressure to 1/4096) so the float-ulp divergence between backend
 cost associations can never flip a knife-edge decision.  Identical seeds
-therefore give byte-identical decision streams across the serial, thread
-and process backends — asserted by the ``shed`` difftest axis via
+therefore give byte-identical decision streams across the serial and
+process backends — asserted by the ``shed`` difftest axis via
 :attr:`LoadShedder.decision_digest`.
 
 For the process backend the parent (which admits) cannot read worker-side

@@ -40,7 +40,6 @@ All supervision activity flows into the
 from __future__ import annotations
 
 import enum
-import threading
 
 from repro.core.model import CaesarModel
 from repro.errors import FatalEngineError, SchemaError
@@ -242,9 +241,6 @@ class SupervisedEngine(CaesarEngine):
         self.validate_schemas = validate_schemas
         self._breakers: dict[PlanKey, CircuitBreaker] = {}
         self.plan_failures = 0
-        #: guards ``plan_failures``: thread-backend shard workers report
-        #: failures concurrently (the DLQ carries its own lock)
-        self._failure_lock = threading.Lock()
         registry = self.observability.registry
         if registry.enabled:
             self.dead_letters.bind_metrics(registry)
@@ -369,8 +365,7 @@ class SupervisedEngine(CaesarEngine):
         events: list[Event],
         now: TimePoint,
     ) -> None:
-        with self._failure_lock:
-            self.plan_failures += 1
+        self.plan_failures += 1
         self._failure_counter.inc()
         breaker.record_failure(now)
         self._dead_letter_for_plan(
@@ -536,8 +531,7 @@ class SupervisedEngine(CaesarEngine):
         supervision = summary.get("supervision")
         if supervision is None:
             return
-        with self._failure_lock:
-            self.plan_failures += supervision["plan_failures"]
+        self.plan_failures += supervision["plan_failures"]
         self.dead_letters.absorb(
             supervision["dlq_entries"],
             dropped=supervision["dlq_dropped"],

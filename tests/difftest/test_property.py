@@ -9,6 +9,9 @@ cannot: a rule that is only correct when a later rule repairs it would
 pass "none vs full" and fail here.
 """
 
+import multiprocessing
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,13 +89,17 @@ class TestContextEquivalence:
         )
 
 
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="process backend requires the fork start method",
+)
 class TestBackendEquivalence:
     @given(streams())
     @settings(max_examples=20, deadline=None)
-    def test_thread_matches_serial(self, events):
+    def test_process_matches_serial(self, events):
         assert_agree(
             RunSpec(label="serial"),
-            RunSpec(label="thread", backend="thread"),
+            RunSpec(label="process", backend="process"),
             events,
         )
 

@@ -7,15 +7,12 @@ come back as a ``float`` that merely compares equal), for every payload
 shape — including the irregular ones that ride the pickled object lane.
 """
 
-import pickle
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.pattern import MatchEvent
 from repro.events import (
-    ColumnarEvents,
     Event,
     EventBatch,
     EventSchema,
@@ -78,6 +75,12 @@ class TestRoundTrip:
         _, decoded = roundtrip(events)
         assert_faithful(events, decoded)
         assert decoded[0].timestamp == -10
+
+    def test_decode_returns_a_plain_list(self):
+        events = [Event(READING, 1, {"value": 1})]
+        _, decoded = roundtrip(events)
+        assert type(decoded) is list
+        assert decoded == events
 
     def test_empty_batch(self):
         batch, decoded = roundtrip([])
@@ -272,57 +275,20 @@ class TestTypeDirectory:
 
 
 # ---------------------------------------------------------------------------
-# ColumnarEvents container
+# columnar view
 # ---------------------------------------------------------------------------
 
 
-class TestColumnarEvents:
-    def test_type_names_cached(self):
-        events = ColumnarEvents(
-            [Event(READING, 1, {"value": 1}), Event(PRESSURE, 1, {"value": 1.0, "zone": 2})]
-        )
-        assert events.type_names == {"Reading", "Pressure"}
-        assert events.type_names is events.type_names
-
-    def test_is_a_list(self):
-        events = ColumnarEvents([Event(READING, 1, {"value": 1})])
-        assert isinstance(events, list)
-        assert len(events) == 1
-
-    def test_pickle_roundtrip(self):
-        events = ColumnarEvents([Event(READING, 1, {"value": 1})])
-        events.view()  # populate the cache; it must not leak into the pickle
-        clone = pickle.loads(pickle.dumps(events))
-        assert type(clone) is ColumnarEvents
-        assert list(clone) == list(events)
-
-    def test_columnar_toggle_changes_nothing_observable(self, monkeypatch):
-        # The differential check the ISSUE asks for: the same scenario run
-        # with the columnar fast path forced on vs off canonicalizes
-        # identically (the engine reads CAESAR_COLUMNAR at construction,
-        # and difftest's execute() builds a fresh engine per run).
-        from repro.difftest import RunSpec, execute, get_scenario
-        from repro.events.batch import COLUMNAR_ENV_VAR
-
-        scenario = get_scenario("threshold")
-        events = scenario.make_events(7, 0.3)
-        spec = RunSpec(label="columnar-toggle")
-        monkeypatch.delenv(COLUMNAR_ENV_VAR, raising=False)
-        columnar_on = execute(scenario, spec, events)
-        monkeypatch.setenv(COLUMNAR_ENV_VAR, "0")
-        columnar_off = execute(scenario, spec, events)
-        assert columnar_on == columnar_off
-
+class TestColumnarView:
     def test_view_segments_and_irregular(self):
         base = Event(READING, 4, {"value": 2})
-        events = ColumnarEvents(
+        view = build_view(
             [
                 Event(READING, 1, {"value": 1}),
                 derive_complex_event(PRESSURE, [base], {"value": 1.0, "zone": 0}),
                 Event(READING, 2, {"value": 5}),
             ]
         )
-        view = events.view()
         assert view.n == 3
         assert view.irregular == [1]
         (segment,) = view.regular

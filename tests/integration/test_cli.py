@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import multiprocessing
+
 import pytest
 
 from repro.cli import main
@@ -128,10 +130,14 @@ class TestStats:
         document = json.loads(trace_file.read_text())
         assert document["traceEvents"]
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="process backend requires the fork start method",
+    )
     def test_backend_flag(self, capsys):
         code = main(
             ["stats", "--segments", "2", "--minutes", "6",
-             "--backend", "thread"]
+             "--backend", "process"]
         )
         assert code == 0
         assert "caesar_events_total" in capsys.readouterr().out

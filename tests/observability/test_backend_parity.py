@@ -16,7 +16,6 @@ from repro.runtime import (
     ProcessPoolBackend,
     SerialBackend,
     SupervisedEngine,
-    ThreadPoolBackend,
     report_to_dict,
 )
 
@@ -28,7 +27,6 @@ from tests.observability.conftest import (
 
 BACKENDS = {
     "serial": lambda: SerialBackend(),
-    "thread": lambda: ThreadPoolBackend(max_workers=4),
     "process": lambda: ProcessPoolBackend(max_workers=2),
 }
 
@@ -85,7 +83,7 @@ class TestMetricParity:
             for key in ("wall_seconds", "throughput", "backend", "transport"):
                 d.pop(key, None)
             reports[name] = d
-        assert reports["serial"] == reports["thread"] == reports["process"]
+        assert reports["serial"] == reports["process"]
 
     def test_linear_road_parity(self):
         from repro.linearroad.generator import (
@@ -120,9 +118,7 @@ class TestMetricParity:
                 ),
                 sort_keys=True,
             )
-        assert (
-            snapshots["serial"] == snapshots["thread"] == snapshots["process"]
-        )
+        assert snapshots["serial"] == snapshots["process"]
 
     @pytest.mark.parametrize("backend_name", sorted(BACKENDS))
     def test_trace_spans_fan_in(self, backend_name):

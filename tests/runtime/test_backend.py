@@ -4,10 +4,11 @@ The contract under test: whatever backend executes the stream
 transactions, the report — outputs, windows, cost accounting, supervision
 counters — is identical to a serial run, because outputs are merged in the
 scheduler's deterministic transaction order and each partition is pinned to
-one shard worker.
+one shard worker.  The same holds when the engine is driven from a thread
+other than the caller's, as ``EngineService``'s feeder thread drives it.
 """
 
-import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,6 @@ from repro.runtime import (
     REASON_PLAN_FAULT,
     SerialBackend,
     SupervisedEngine,
-    ThreadPoolBackend,
     outputs_to_rows,
     report_to_dict,
     resolve_backend,
@@ -94,15 +94,20 @@ def comparable(report):
     return d
 
 
+def on_thread(fn, *args):
+    """Call ``fn`` on a fresh worker thread and return its result here, or
+    re-raise here whatever it raised."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result()
+
+
 class TestResolveBackend:
     def test_instance_passes_through(self):
-        backend = ThreadPoolBackend(max_workers=2)
+        backend = ProcessPoolBackend(max_workers=2)
         assert resolve_backend(backend) is backend
 
     def test_names_and_aliases(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("thread"), ThreadPoolBackend)
-        assert isinstance(resolve_backend("threads"), ThreadPoolBackend)
         assert isinstance(resolve_backend("process"), ProcessPoolBackend)
         assert isinstance(resolve_backend("PROCESS"), ProcessPoolBackend)
 
@@ -111,83 +116,56 @@ class TestResolveBackend:
         assert isinstance(resolve_backend(None), SerialBackend)
 
     def test_none_consults_environment(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "thread")
-        assert isinstance(resolve_backend(None), ThreadPoolBackend)
+        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
+        assert isinstance(resolve_backend(None), ProcessPoolBackend)
 
     def test_unknown_name_raises(self):
         with pytest.raises(RuntimeEngineError, match="unknown execution"):
             resolve_backend("gpu")
 
     def test_registry_names(self):
-        assert set(BACKENDS) >= {"serial", "thread", "process"}
+        assert set(BACKENDS) == {"serial", "process", "processes"}
 
     def test_worker_count_bounds(self):
         assert 2 <= default_worker_count() <= 8
-        with pytest.raises(ValueError, match="max_workers"):
-            ThreadPoolBackend(max_workers=0)
         with pytest.raises(ValueError, match="max_workers"):
             ProcessPoolBackend(max_workers=0)
 
 
 class TestThreadEquivalence:
+    """A run on a worker thread reports exactly what a run on the calling
+    thread does."""
+
     def test_identical_to_serial_on_multi_partition_stream(self):
         serial = run_with("serial")
-        threaded = run_with(ThreadPoolBackend(max_workers=4))
+        threaded = on_thread(run_with, "serial")
         assert outputs_to_rows(threaded) == outputs_to_rows(serial)
         assert comparable(threaded) == comparable(serial)
-        assert threaded.backend == "thread"
-        assert serial.backend == "serial"
-
-    def test_single_worker_shard(self):
-        threaded = run_with(ThreadPoolBackend(max_workers=1))
-        assert comparable(threaded) == comparable(run_with("serial"))
-
-    def test_more_workers_than_partitions(self):
-        stream = multi_partition_stream(segments=2)
-        serial = run_with("serial", stream=stream)
-        threaded = run_with(ThreadPoolBackend(max_workers=8), stream=stream)
-        assert comparable(threaded) == comparable(serial)
+        assert threaded.backend == "serial"
 
     def test_engine_reusable_across_runs(self):
         engine = CaesarEngine(
             build_model(),
             partition_by=by_segment,
             seconds_per_cost_unit=1e-6,
-            backend=ThreadPoolBackend(max_workers=4),
+            backend="serial",
         )
-        first = engine.run(multi_partition_stream())
+        first = on_thread(engine.run, multi_partition_stream())
         second = engine.run(multi_partition_stream())
-        assert comparable(first) == comparable(second)
+        third = on_thread(engine.run, multi_partition_stream())
+        assert comparable(first) == comparable(second) == comparable(third)
 
     def test_error_propagates_deterministically(self):
         engine = CaesarEngine(
             build_model(),
             partition_by=by_segment,
-            backend=ThreadPoolBackend(max_workers=4),
+            backend="serial",
         )
         inject_plan_fault(engine, "alert", at_times={50})
         with pytest.raises(InjectedFaultError, match="t=50"):
+            on_thread(engine.run, multi_partition_stream())
+        with pytest.raises(InjectedFaultError, match="t=50"):
             engine.run(multi_partition_stream())
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        values=st.lists(
-            st.tuples(st.integers(0, 200), st.integers(0, 5)),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    def test_property_serial_thread_equivalence(self, values):
-        events = [
-            reading(t * 10, value, seg=seg)
-            for t, (value, seg) in enumerate(values)
-        ]
-        serial = run_with("serial", stream=EventStream(events))
-        threaded = run_with(
-            ThreadPoolBackend(max_workers=3), stream=EventStream(events)
-        )
-        assert outputs_to_rows(threaded) == outputs_to_rows(serial)
-        assert comparable(threaded) == comparable(serial)
 
 
 fork_available = "fork" in __import__("multiprocessing").get_all_start_methods()
@@ -204,6 +182,38 @@ class TestProcessEquivalence:
         assert outputs_to_rows(forked) == outputs_to_rows(serial)
         assert comparable(forked) == comparable(serial)
         assert forked.backend == "process"
+
+    def test_single_worker_shard(self):
+        forked = run_with(ProcessPoolBackend(max_workers=1))
+        assert comparable(forked) == comparable(run_with("serial"))
+
+    def test_more_workers_than_partitions(self):
+        stream = multi_partition_stream(segments=2)
+        serial = run_with("serial", stream=stream)
+        forked = run_with(ProcessPoolBackend(max_workers=3), stream=stream)
+        assert comparable(forked) == comparable(serial)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        values=st.lists(
+            st.tuples(st.integers(0, 200), st.integers(0, 5)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_property_serial_process_equivalence(self, values):
+        events = [
+            reading(t * 10, value, seg=seg)
+            for t, (value, seg) in enumerate(values)
+        ]
+        serial = run_with("serial", stream=EventStream(events))
+        backend = ProcessPoolBackend(max_workers=2)
+        try:
+            forked = run_with(backend, stream=EventStream(events))
+        finally:
+            backend.close()
+        assert outputs_to_rows(forked) == outputs_to_rows(serial)
+        assert comparable(forked) == comparable(serial)
 
     def test_rejects_recovery(self):
         from repro.runtime import RecoveryManager
@@ -234,7 +244,7 @@ class TestProcessEquivalence:
             backend=ProcessPoolBackend(max_workers=2),
         )
         inject_plan_fault(engine, "alert", at_times={50})
-        with pytest.raises(InjectedFaultError):
+        with pytest.raises(InjectedFaultError, match="t=50"):
             engine.run(multi_partition_stream())
 
 
@@ -350,22 +360,28 @@ class TestProcessPoolLifecycle:
 
 class TestSupervisedParallel:
     def test_thread_backend_plan_faults_match_serial(self):
-        def supervised(backend):
+        # supervised on a worker thread; the dead letters are read back on
+        # the calling thread, as callers of a running EngineService do
+        def supervised():
             engine = SupervisedEngine(
                 build_model(),
                 partition_by=by_segment,
                 seconds_per_cost_unit=1e-6,
                 failure_threshold=1,
                 cooldown=40,
-                backend=backend,
+                backend="serial",
             )
             inject_plan_fault(engine, "alert", at_times={20, 30})
-            return engine.run(multi_partition_stream())
+            return engine, engine.run(multi_partition_stream())
 
-        serial = supervised("serial")
-        threaded = supervised(ThreadPoolBackend(max_workers=4))
+        serial_engine, serial = supervised()
+        threaded_engine, threaded = on_thread(supervised)
         assert serial.plan_failures > 0
         assert comparable(threaded) == comparable(serial)
+        assert (
+            threaded_engine.dead_letters.counts_by_reason
+            == serial_engine.dead_letters.counts_by_reason
+        )
 
     @needs_fork
     def test_process_backend_absorbs_worker_dead_letters(self):
@@ -425,7 +441,7 @@ class TestLinearRoadEquivalence:
 
     def test_thread_matches_serial(self, setup):
         serial = self._run(setup, "serial")
-        threaded = self._run(setup, ThreadPoolBackend(max_workers=4))
+        threaded = on_thread(self._run, setup, "serial")
         assert outputs_to_rows(threaded) == outputs_to_rows(serial)
         assert comparable(threaded) == comparable(serial)
 
@@ -443,9 +459,9 @@ class TestBackendReporting:
         assert report_to_dict(run_with("serial"))["backend"] == "serial"
 
     def test_environment_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "thread")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
         engine = CaesarEngine(build_model(), partition_by=by_segment)
-        assert isinstance(engine.backend, ThreadPoolBackend)
+        assert isinstance(engine.backend, ProcessPoolBackend)
 
     def test_abstract_backend_refuses_execution(self):
         with pytest.raises(NotImplementedError):

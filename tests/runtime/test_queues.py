@@ -81,40 +81,3 @@ class TestTakeExactly:
         taken = distributor.take_exactly(None, 5)
         assert [e.timestamp for e in taken] == [5]
         assert distributor.pending(None) == 1
-
-
-class TestThreadSafety:
-    def test_concurrent_distribute_and_take(self):
-        import threading
-
-        distributor = EventDistributor(lambda e: e["seg"])
-        errors = []
-
-        def producer(seg):
-            try:
-                for t in range(200):
-                    distributor.distribute([tick(t, seg=seg)])
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        def consumer(seg):
-            try:
-                for t in range(0, 200, 10):
-                    distributor.take_until(seg, t)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=producer, args=(seg,)) for seg in range(4)
-        ] + [
-            threading.Thread(target=consumer, args=(seg,)) for seg in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-        # every event is either still pending or was taken; nothing lost
-        remaining = distributor.total_pending()
-        assert distributor.distributed == 800
-        assert 0 <= remaining <= 800

@@ -1,7 +1,6 @@
 """Tests for checkpoint autosave and crash recovery by suffix replay."""
 
 import json
-import threading
 
 import pytest
 
@@ -20,6 +19,8 @@ from repro.runtime import (
     report_to_dict,
 )
 from repro.testing import inject_plan_fault
+
+from tests.doubles import RunCountingBackend
 
 READING = EventType.define("RecReading", value="int", sec="int")
 
@@ -171,24 +172,16 @@ class TestFallbackRestore:
         assert manager.recovery_replays == 0
 
 
-def shard_threads():
-    return {
-        thread for thread in threading.enumerate()
-        if thread.name.startswith("caesar-shard-") and thread.is_alive()
-    }
-
-
 class TestReplayEndsItsRun:
-    """``replay`` must end the backend run it opens; the thread backend's
-    ``caesar-shard-*`` workers make a leaked run observable."""
+    """``replay`` must end the backend run it opens, exactly once."""
 
-    def test_replay_leaves_no_shard_threads(self):
+    def test_replay_ends_the_run_it_opens(self):
         manager = RecoveryManager(interval=25)
         crash_and_collect(manager, 90)
-        before = shard_threads()
-        fresh = SupervisedEngine(build_model(), recovery=manager, backend="thread")
+        backend = RunCountingBackend()
+        fresh = SupervisedEngine(build_model(), recovery=manager, backend=backend)
         watermark, replayed = manager.recover_and_replay(fresh, events())
-        assert not shard_threads() - before
+        assert (backend.begun, backend.ended) == (1, 1)
         reference = CaesarEngine(build_model()).run(EventStream(events()))
         assert outputs_to_rows(replayed) == outputs_to_rows(
             [e for e in reference.outputs if e.timestamp > watermark]

@@ -1,9 +1,13 @@
-"""Tests for incremental sessions on the parallel execution backends.
+"""Tests for incremental sessions across threads and on the process backend.
 
 ``EngineSession`` drives the engine's configured backend exactly like
 ``run()``: worker shards see the same transactions, fan-in happens at
-``close()``, and the pool survives across sessions on the same engine.
+``close()``, and the pool survives across sessions on the same engine.  A
+session may be fed on one thread and closed on another, as
+``EngineService`` hands it between its feeder thread and the caller.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -16,7 +20,6 @@ from repro.runtime import (
     CaesarEngine,
     EngineSession,
     ProcessPoolBackend,
-    ThreadPoolBackend,
     outputs_to_rows,
     report_to_dict,
 )
@@ -92,19 +95,28 @@ class TestThreadSession:
     def test_chunked_matches_one_shot(self):
         events = multi_partition_events()
         expected = one_shot(events)
-        report = session_report(ThreadPoolBackend(max_workers=4), events)
-        assert report.backend == "thread"
+        engine = CaesarEngine(
+            build_model(),
+            partition_by=by_segment,
+            seconds_per_cost_unit=1e-6,
+            backend="serial",
+        )
+        session = EngineSession(engine, eager=False)
+        with ThreadPoolExecutor(max_workers=1) as feeder:
+            for start in range(0, len(events), 7):
+                feeder.submit(session.feed, events[start:start + 7]).result()
+        report = session.close()
+        assert report.backend == "serial"
         assert outputs_to_rows(report) == outputs_to_rows(expected)
         assert comparable(report) == comparable(expected)
 
     def test_double_close_is_idempotent(self):
         session = EngineSession(CaesarEngine(
-            build_model(),
-            partition_by=by_segment,
-            backend=ThreadPoolBackend(max_workers=2),
+            build_model(), partition_by=by_segment, backend="serial"
         ))
         session.feed(multi_partition_events())
-        first = session.close()
+        with ThreadPoolExecutor(max_workers=1) as closer:
+            first = closer.submit(session.close).result()
         assert session.close() is first
 
 

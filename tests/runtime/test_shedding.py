@@ -1,5 +1,7 @@
 """Tests for the context-aware load shedder and its engine wiring."""
 
+import multiprocessing
+
 import pytest
 
 from repro import (
@@ -281,7 +283,11 @@ class TestClassification:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("backend", ["thread"])
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="process backend requires the fork start method",
+    )
+    @pytest.mark.parametrize("backend", ["process"])
     def test_digest_matches_serial(self, backend):
         stream = calm_stream()
         config = SheddingConfig(fixed_pressure=0.7, record_decisions=True)

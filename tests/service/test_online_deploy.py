@@ -25,17 +25,10 @@ from repro.runtime import (
 READING = EventType.define("OdReading", value="int", sec="int", zone="int")
 
 
-def local_backend():
-    """Online deployment requires in-process partition state: honor a
-    fleet-wide CAESAR_BACKEND=thread, fall back to serial under process."""
-    import os
-
-    name = os.environ.get("CAESAR_BACKEND", "").strip().lower()
-    return "thread" if name in ("thread", "threads") else "serial"
-
-
 def live_engine():
-    return CaesarEngine(build_model(), backend=local_backend())
+    # online deployment requires in-process partition state: pin serial
+    # even under a fleet-wide CAESAR_BACKEND=process
+    return CaesarEngine(build_model(), backend="serial")
 
 
 def build_model():
@@ -172,7 +165,7 @@ class TestSupervisedSplice:
 
         engine = SupervisedEngine(
             build_model(), failure_threshold=1, cooldown=1000,
-            backend=local_backend(),
+            backend="serial",
         )
         session = EngineSession(engine)
         session.feed(PREFIX)
@@ -191,7 +184,7 @@ class TestSupervisedSplice:
 
     def test_deployment_still_works_supervised_end_to_end(self):
         expected = EngineSession(
-            SupervisedEngine(build_model(), backend=local_backend())
+            SupervisedEngine(build_model(), backend="serial")
         )
         expected.feed(PREFIX)
         expected.engine.deploy_query(spike_query())
@@ -211,7 +204,7 @@ class TestServiceDeployment:
         checkpoint = capture_checkpoint(base)
         upgraded_model = build_model()
         upgraded_model.add_query(spike_query())
-        reference = CaesarEngine(upgraded_model, backend=local_backend())
+        reference = CaesarEngine(upgraded_model, backend="serial")
         restore_checkpoint(reference, checkpoint)
         ref_suffix = reference.run(EventStream(SUFFIX))
 

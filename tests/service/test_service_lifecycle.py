@@ -10,8 +10,7 @@ Each test here pins one previously-hanging or masking behavior:
   feeder error (chained, not masked);
 * ``submit`` racing ``stop`` must either raise or be processed —
   never silently dropped;
-* a run that dies mid-feed must still end its backend run — no
-  ``caesar-shard-*`` worker thread may outlive ``stop()``.
+* a run that dies mid-feed must still end its backend run, exactly once.
 """
 
 import threading
@@ -20,11 +19,13 @@ import time
 import pytest
 
 from repro.errors import RuntimeEngineError
+from repro.events.stream import EventStream
 from repro.language import parse_query
 from repro.runtime import CaesarEngine, EngineService, EngineSession
 from repro.runtime.service import _Op
 from repro.testing import InjectedFaultError, inject_plan_fault
 
+from tests.doubles import RunCountingBackend
 from tests.service.test_service import build_model, reading
 
 
@@ -210,57 +211,54 @@ class TestSubmitStopRace:
         assert service.dropped_events == 0
 
 
-def shard_threads():
-    return {
-        thread for thread in threading.enumerate()
-        if thread.name.startswith("caesar-shard-") and thread.is_alive()
-    }
-
-
-def count_end_runs(backend):
-    """Wrap ``backend.end_run`` so the test can count its calls."""
-    calls = []
-    original = backend.end_run
-
-    def end_run(engine):
-        calls.append(engine)
-        original(engine)
-
-    backend.end_run = end_run
-    return calls
-
-
 class TestCrashedRunReleasesBackendWorkers:
-    """A run that dies mid-feed must still reach ``backend.end_run``.
+    """Every way a run ends must reach ``backend.end_run`` exactly once.
 
-    Only the thread backend makes the leak observable (its ``begin_run``
-    spawns the ``caesar-shard-*`` threads that ``end_run`` joins; the
-    serial backend's ``end_run`` is a no-op), so it is pinned explicitly.
+    A :class:`~tests.doubles.RunCountingBackend` counts the lifecycle
+    calls, so a run that is opened and never ended (or ended twice) shows
+    up as ``begun != ended``.
     """
 
-    def test_stop_after_feeder_crash_leaves_no_shard_threads(self):
-        before = shard_threads()
-        engine = CaesarEngine(build_model(), backend="thread")
-        ended = count_end_runs(engine.backend)
+    def test_run_ends_its_run_once(self):
+        backend = RunCountingBackend()
+        engine = CaesarEngine(build_model(), backend=backend)
+        inject_plan_fault(engine, "alert", at_times={20})
+        engine.run(EventStream(crashing_events()[:1]))  # ends before t=20
+        assert (backend.begun, backend.ended) == (1, 1)
+        with pytest.raises(InjectedFaultError):
+            engine.run(EventStream(crashing_events()))
+        assert (backend.begun, backend.ended) == (2, 2)
+
+    def test_session_abort_ends_the_run_once(self):
+        backend = RunCountingBackend()
+        session = EngineSession(CaesarEngine(build_model(), backend=backend))
+        session.feed([reading(0, 150), reading(10, 160)])
+        session.abort()
+        session.abort()  # idempotent
+        with pytest.raises(RuntimeEngineError):
+            session.feed([reading(20, 90)])
+        assert (backend.begun, backend.ended) == (1, 1)
+
+    def test_stop_after_feeder_crash_ends_the_run_once(self):
+        backend = RunCountingBackend()
+        engine = CaesarEngine(build_model(), backend=backend)
         inject_plan_fault(engine, "alert", at_times={20})
         service = EngineService(engine, on_emit=lambda e: None)
-        assert shard_threads() - before, "the run never spawned its shards"
+        assert backend.begun == 1
         service.extend(crashing_events())
         with pytest.raises(InjectedFaultError):
             service.stop()
-        assert not shard_threads() - before
         # the run is aborted exactly once; stop() stays idempotent and
         # keeps re-raising the stored error
         with pytest.raises(InjectedFaultError):
             service.stop()
-        assert len(ended) == 1
+        assert (backend.begun, backend.ended) == (1, 1)
 
     def test_crashing_emit_callback_aborts_the_run_too(self):
         # the session is healthy here — the feeder dies in the owner's
         # callback — so only stop() can end the run
-        before = shard_threads()
-        engine = CaesarEngine(build_model(), backend="thread")
-        ended = count_end_runs(engine.backend)
+        backend = RunCountingBackend()
+        engine = CaesarEngine(build_model(), backend=backend)
 
         def on_emit(event):
             raise ValueError("sink is down")
@@ -269,22 +267,20 @@ class TestCrashedRunReleasesBackendWorkers:
         service.extend([reading(0, 150), reading(10, 160), reading(20, 90)])
         with pytest.raises(ValueError, match="sink is down"):
             service.stop()
-        assert not shard_threads() - before
-        assert len(ended) == 1
+        assert (backend.begun, backend.ended) == (1, 1)
 
     def test_raising_feed_aborts_the_session_once(self):
-        before = shard_threads()
-        engine = CaesarEngine(build_model(), backend="thread")
-        ended = count_end_runs(engine.backend)
+        backend = RunCountingBackend()
+        engine = CaesarEngine(build_model(), backend=backend)
         inject_plan_fault(engine, "alert", at_times={20})
         session = EngineSession(engine)
         with pytest.raises(InjectedFaultError):
             session.feed(crashing_events())
-        assert not shard_threads() - before
+        assert backend.ended == 1
         # the session is dead: every later call re-raises the same error
         with pytest.raises(InjectedFaultError):
             session.feed([reading(40, 50)])
         with pytest.raises(InjectedFaultError):
             session.close()
         session.abort()
-        assert len(ended) == 1
+        assert (backend.begun, backend.ended) == (1, 1)

@@ -22,8 +22,8 @@ from repro.runtime import (
     CaesarEngine,
     REPORT_SCHEMA_VERSION,
     ScheduledWorkloadEngine,
+    SerialBackend,
     SupervisedEngine,
-    ThreadPoolBackend,
     report_to_dict,
     resolve_backend,
 )
@@ -76,7 +76,7 @@ class TestEngineConfig:
     def test_frozen(self):
         config = EngineConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.backend = "thread"
+            config.backend = "process"
 
     def test_supervision_normalisation(self):
         assert EngineConfig(supervision=True).supervision_config() == (
@@ -121,7 +121,7 @@ class TestCreateEngine:
         assert base.retention == 100  # base config untouched
 
     def test_backend_spec_passthrough(self):
-        backend = ThreadPoolBackend(max_workers=2)
+        backend = SerialBackend()
         engine = create_engine(build_model(), EngineConfig(backend=backend))
         assert engine.backend is backend
 
@@ -210,18 +210,20 @@ class TestReportSchema:
 
 class TestBackendResolutionErrors:
     def test_unknown_spec_lists_valid_names(self):
-        with pytest.raises(UnknownBackendError) as excinfo:
-            resolve_backend("quantum")
-        message = str(excinfo.value)
-        assert "quantum" in message
-        assert "backend spec" in message
-        for name in ("serial", "thread", "process"):
-            assert name in message
+        # "thread" named a backend that was removed; it is unknown now
+        for spec in ("quantum", "thread"):
+            with pytest.raises(UnknownBackendError) as excinfo:
+                resolve_backend(spec)
+            message = str(excinfo.value)
+            assert spec in message
+            assert "backend spec" in message
+            assert "['process', 'processes', 'serial']" in message
 
     def test_unknown_env_var_names_the_source(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "gpu")
-        with pytest.raises(UnknownBackendError, match=BACKEND_ENV_VAR):
-            resolve_backend(None)
+        for value in ("gpu", "thread"):
+            monkeypatch.setenv(BACKEND_ENV_VAR, value)
+            with pytest.raises(UnknownBackendError, match=BACKEND_ENV_VAR):
+                resolve_backend(None)
 
     def test_error_is_both_runtime_and_value_error(self):
         with pytest.raises(ValueError):
