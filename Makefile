@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-chaos test-overload test-service test-aggregation difftest bench bench-smoke bench-aggregation bench-hotpath bench-parallel bench-observability bench-shedding bench-tables examples validate lint-smoke all
+.PHONY: install test test-chaos test-overload test-service test-aggregation difftest bench bench-smoke bench-sharing bench-aggregation bench-hotpath bench-parallel bench-observability bench-shedding bench-tables examples validate lint-smoke all
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -67,6 +67,16 @@ bench:
 # outputs — a pattern change that alters emissions fails here
 bench-smoke:
 	$(PYTHON) -m pytest bench/tests -q
+
+# shape checks of the workload-sharing experiments (Figure 14 a-c and the
+# ablations), benchmark timing off: each runs a SharedWorkload on the
+# engine and asserts the paper-figure shape
+bench-sharing:
+	$(PYTHON) -m pytest benchmarks/bench_fig14a_overlap_number.py \
+		benchmarks/bench_fig14b_overlap_length.py \
+		benchmarks/bench_fig14c_shared_size.py \
+		benchmarks/bench_ablations.py \
+		--benchmark-disable -q -p no:randomly
 
 # online SEQ aggregation vs match materialization: asserts identical
 # aggregate values, linear-vs-combinatorial scaling, and >=10x at the

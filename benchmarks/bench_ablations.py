@@ -20,13 +20,13 @@ from benchmarks.bench_fig14_common import (
     lr_event_stream,
     make_window_specs,
     run_pair,
+    run_workload,
     shared_query,
 )
 from benchmarks.common import FigureTable
 from repro.core.bitvector import ContextBitVector
 from repro.core.windows import WindowSpec
 from repro.optimizer.sharing import build_shared_workload
-from repro.runtime.engine import ScheduledWorkloadEngine
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +96,12 @@ class TestGroupingVsNaiveMerge:
         return lr_event_stream(total)
 
     def test_grouping_beats_naive_merge(self, benchmark):
-        grouped = ScheduledWorkloadEngine(
-            build_shared_workload(self.specs())
-        ).run(self.stream(), track_outputs=False)
-        merged = ScheduledWorkloadEngine(
-            build_shared_workload(self.naive_merge_specs())
-        ).run(self.stream(), track_outputs=False)
+        grouped = run_workload(
+            build_shared_workload(self.specs()), self.stream()
+        )
+        merged = run_workload(
+            build_shared_workload(self.naive_merge_specs()), self.stream()
+        )
 
         table = FigureTable(
             "Ablation 1", "grouping vs naive window merge", "strategy"
@@ -115,9 +115,9 @@ class TestGroupingVsNaiveMerge:
         assert grouped.cost_units < merged.cost_units * 0.95
 
         benchmark(
-            lambda: ScheduledWorkloadEngine(
-                build_shared_workload(self.specs())
-            ).run(self.stream(), track_outputs=False)
+            lambda: run_workload(
+                build_shared_workload(self.specs()), self.stream()
+            )
         )
 
     def test_merge_penalty_grows_with_gaps(self, benchmark):
@@ -138,12 +138,12 @@ class TestGroupingVsNaiveMerge:
                 )
             ]
             stream_len = 30 + 120 + 3 * stride + 120
-            grouped = ScheduledWorkloadEngine(
-                build_shared_workload(specs)
-            ).run(lr_event_stream(stream_len), track_outputs=False)
-            merged = ScheduledWorkloadEngine(
-                build_shared_workload(union_spec)
-            ).run(lr_event_stream(stream_len), track_outputs=False)
+            grouped = run_workload(
+                build_shared_workload(specs), lr_event_stream(stream_len)
+            )
+            merged = run_workload(
+                build_shared_workload(union_spec), lr_event_stream(stream_len)
+            )
             penalties.append(merged.cost_units / grouped.cost_units)
         assert penalties == sorted(penalties)
         assert penalties[-1] > penalties[0] * 1.2

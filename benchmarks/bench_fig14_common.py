@@ -14,6 +14,7 @@ hold partially identical workloads (Figure 7).
 
 from __future__ import annotations
 
+from repro.api import EngineConfig, create_engine
 from repro.core.windows import WindowSpec
 from repro.events.stream import EventStream
 from repro.language import parse_query
@@ -23,12 +24,11 @@ from repro.optimizer.sharing import (
     build_nonshared_workload,
     build_shared_workload,
 )
-from repro.runtime.engine import ScheduledWorkloadEngine
 
 
 def lr_event_stream(duration_seconds: int, *, seed: int = 53) -> EventStream:
-    """A steady position-report stream (no scheduled regimes needed — the
-    scheduled engine activates plans by time, not by context derivation)."""
+    """A steady position-report stream (no scheduled regimes needed — a
+    workload's units are activated by time, not by context derivation)."""
     config = LinearRoadConfig(
         num_roads=1,
         segments_per_road=2,
@@ -96,10 +96,10 @@ def run_workload(
     workload: SharedWorkload,
     stream: EventStream,
     *,
-    seconds_per_cost_unit: float | None,
+    seconds_per_cost_unit: float | None = None,
 ):
-    engine = ScheduledWorkloadEngine(
-        workload, seconds_per_cost_unit=seconds_per_cost_unit
+    engine = create_engine(
+        workload, EngineConfig(seconds_per_cost_unit=seconds_per_cost_unit)
     )
     return engine.run(stream, track_outputs=False)
 

@@ -13,10 +13,10 @@ from benchmarks.bench_fig14_common import (
     lr_event_stream,
     make_window_specs,
     run_pair,
+    run_workload,
 )
 from benchmarks.common import FigureTable, calibrate_seconds_per_cost_unit
 from repro.optimizer.sharing import build_nonshared_workload
-from repro.runtime.engine import ScheduledWorkloadEngine
 
 OVERLAP_COUNTS = (5, 15, 25, 35, 45)
 REFERENCE_COUNT = 45
@@ -46,8 +46,7 @@ def make_stream(count):
 @pytest.fixture(scope="module")
 def spc():
     workload = build_nonshared_workload(make_specs(REFERENCE_COUNT))
-    engine = ScheduledWorkloadEngine(workload)
-    report = engine.run(make_stream(REFERENCE_COUNT), track_outputs=False)
+    report = run_workload(workload, make_stream(REFERENCE_COUNT))
     return calibrate_seconds_per_cost_unit(
         report.cost_units,
         stream_seconds=stream_seconds(OVERLAP_COUNTS[-1]),

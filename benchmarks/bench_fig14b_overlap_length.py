@@ -14,10 +14,10 @@ from benchmarks.bench_fig14_common import (
     lr_event_stream,
     make_window_specs,
     run_pair,
+    run_workload,
 )
 from benchmarks.common import FigureTable, calibrate_seconds_per_cost_unit
 from repro.optimizer.sharing import build_nonshared_workload
-from repro.runtime.engine import ScheduledWorkloadEngine
 
 OVERLAPS = (0, 30, 60, 90, 105)
 WINDOW_COUNT = 10
@@ -47,8 +47,7 @@ def make_stream():
 @pytest.fixture(scope="module")
 def spc():
     workload = build_nonshared_workload(make_specs(OVERLAPS[-1]))
-    engine = ScheduledWorkloadEngine(workload)
-    report = engine.run(make_stream(), track_outputs=False)
+    report = run_workload(workload, make_stream())
     return calibrate_seconds_per_cost_unit(
         report.cost_units, stream_seconds=total_seconds(), utilization=0.5
     )

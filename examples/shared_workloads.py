@@ -8,14 +8,18 @@ the same stream — the Figure 14 experiments in miniature.
 Run:  python examples/shared_workloads.py
 """
 
-from repro import WindowSpec, group_context_windows
+from repro import (
+    EngineConfig,
+    WindowSpec,
+    create_engine,
+    group_context_windows,
+)
 from repro.events import Event, EventStream, EventType
 from repro.language import parse_query
 from repro.optimizer.sharing import (
     build_nonshared_workload,
     build_shared_workload,
 )
-from repro.runtime import ScheduledWorkloadEngine
 
 READING = EventType.define("Reading", value="int", sec="int")
 SECONDS_PER_COST_UNIT = 1e-4
@@ -57,12 +61,15 @@ def main() -> None:
     print(f"\nplan instances — shared: {shared.plan_count}, "
           f"non-shared: {nonshared.plan_count}")
 
-    shared_report = ScheduledWorkloadEngine(
-        shared, seconds_per_cost_unit=SECONDS_PER_COST_UNIT
-    ).run(EventStream(stream_events))
-    nonshared_report = ScheduledWorkloadEngine(
-        nonshared, seconds_per_cost_unit=SECONDS_PER_COST_UNIT
-    ).run(EventStream(stream_events))
+    # each workload runs on the one engine runtime: every execution unit
+    # becomes a context opened and closed at its interval bounds
+    config = EngineConfig(seconds_per_cost_unit=SECONDS_PER_COST_UNIT)
+    shared_report = create_engine(shared, config).run(
+        EventStream(stream_events)
+    )
+    nonshared_report = create_engine(nonshared, config).run(
+        EventStream(stream_events)
+    )
 
     print(f"\nshared:     {shared_report.summary()}")
     print(f"non-shared: {nonshared_report.summary()}")

@@ -65,7 +65,6 @@ from repro.runtime import (
     DeadLetterQueue,
     EngineReport,
     RecoveryManager,
-    ScheduledWorkloadEngine,
     SheddingConfig,
     SupervisedEngine,
     win_ratio,
@@ -98,7 +97,6 @@ __all__ = [
     "EventType",
     "GroupedWindow",
     "QueryAction",
-    "ScheduledWorkloadEngine",
     "TimeInterval",
     "WindowSpec",
     "build_nonshared_workload",

@@ -434,7 +434,11 @@ class PatternOperator(Operator):
             for positive in self._plan.positives:
                 self._partials_by_next.setdefault(positive.type_name, [])
         self._pending: list[_PendingMatch] = []
-        self._now: TimePoint = 0
+        #: newest timestamp seen; ``-inf`` so negative streams expire too
+        self._now: TimePoint = float("-inf")
+        #: a lower bound on every stored timestamp: expiry has nothing to
+        #: drop while the horizon is at or below it
+        self._oldest: TimePoint = float("inf")
         #: the value of ``_now`` the last horizon expiry ran at; expiry is
         #: amortized to time advances instead of running per event
         self._expired_at: TimePoint = float("-inf")
@@ -504,6 +508,7 @@ class PatternOperator(Operator):
         for type_name, history in self._history.items():
             history.reset(snapshot["history"].get(type_name, ()))
         self._now = snapshot["now"]
+        self._oldest = float("-inf")
         self._expired_at = float("-inf")
 
     def expire_state_before(self, t: TimePoint) -> int:
@@ -545,6 +550,8 @@ class PatternOperator(Operator):
             history = self._history.get(event.type_name)
             if history is not None and history.may_block(event):
                 history.append(event)
+        if timestamp < self._oldest:
+            self._oldest = timestamp
         # Horizon expiry is idempotent at a fixed ``_now``, so it only needs
         # to run when time advanced — or when a late event arrives, which
         # the per-event expiry used to drop from history immediately.
@@ -698,7 +705,7 @@ class PatternOperator(Operator):
     def _expire_horizon(self) -> None:
         self._expired_at = self._now
         horizon = self._now - self.retention
-        if horizon <= 0:
+        if horizon <= self._oldest:
             return
         for bucket in self._partials_by_next.values():
             bucket[:] = [p for p in bucket if p.last_time >= horizon]

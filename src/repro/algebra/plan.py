@@ -16,7 +16,7 @@ from repro.algebra.context_ops import (
     ContextTermination,
     ContextWindowOperator,
 )
-from repro.algebra.operators import ExecutionContext, Operator, OperatorStats
+from repro.algebra.operators import ExecutionContext, Operator
 from repro.algebra.pattern import EventMatch, NegatedSpec, PatternOperator
 from repro.algebra.pattern import Sequence as SeqSpec
 from repro.algebra.relational_ops import Filter, Projection
@@ -139,12 +139,6 @@ class QueryPlan:
     def pattern_operators(self) -> list[PatternOperator]:
         return [op for op in self.operators if isinstance(op, PatternOperator)]
 
-    @property
-    def window_operators(self) -> list[ContextWindowOperator]:
-        return [
-            op for op in self.operators if isinstance(op, ContextWindowOperator)
-        ]
-
     def input_types(self) -> set[str]:
         """Event type names the bottom-most pattern operator consumes.
 
@@ -171,7 +165,7 @@ class QueryPlan:
             ):
                 # A fused operator derives several types; producer routing in
                 # combined plans only supports single-output plans, and fused
-                # plans only run inside scheduled workloads.
+                # plans only run as shared-workload units.
                 if len(operator.outputs) == 1:
                     return operator.outputs[0].event_type.name
                 return None
@@ -179,12 +173,6 @@ class QueryPlan:
 
     def total_cost_units(self) -> float:
         return sum(op.stats.cost_units for op in self.operators)
-
-    def total_stats(self) -> OperatorStats:
-        total = OperatorStats()
-        for operator in self.operators:
-            total.merge(operator.stats)
-        return total
 
     def reset_stats(self) -> None:
         for operator in self.operators:

@@ -353,7 +353,11 @@ class PatternAggregateOperator(Operator):
         #: cumulative matches folded into emitted aggregates (the counter
         #: the engine reports against the oracle's materialized count)
         self.matches_aggregated = 0
-        self._now: TimePoint = 0
+        #: newest timestamp seen; ``-inf`` so negative streams expire too
+        self._now: TimePoint = float("-inf")
+        #: a lower bound on every stored timestamp: expiry has nothing to
+        #: drop while the horizon is at or below it
+        self._oldest: TimePoint = float("inf")
         self._expired_at: TimePoint = float("-inf")
 
     # ------------------------------------------------------------------
@@ -380,6 +384,8 @@ class PatternAggregateOperator(Operator):
         timestamp = event.timestamp
         if timestamp > self._now:
             self._now = timestamp
+        if timestamp < self._oldest:
+            self._oldest = timestamp
         if self._now > self._expired_at or timestamp < self._now:
             self._expire_horizon()
         positives = self._positives
@@ -507,6 +513,7 @@ class PatternAggregateOperator(Operator):
             stage.buckets = {t: summary.copy() for t, summary in buckets.items()}
             stage.rebuild()
         self._now = snapshot["now"]
+        self._oldest = float("-inf")
         self._expired_at = float("-inf")
 
     def expire_state_before(self, t: TimePoint) -> int:
@@ -515,7 +522,7 @@ class PatternAggregateOperator(Operator):
     def _expire_horizon(self) -> None:
         self._expired_at = self._now
         horizon = self._now - self.retention
-        if horizon <= 0:
+        if horizon <= self._oldest:
             return
         for stage in self._stages:
             stage.drop_before(horizon)

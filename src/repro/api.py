@@ -1,8 +1,8 @@
 """The unified construction API: ``create_engine`` + ``EngineConfig``.
 
-Four engine classes grew over the project's life — :class:`CaesarEngine`,
-:class:`SupervisedEngine`, :class:`ScheduledWorkloadEngine` and
-:class:`ContextIndependentEngine` — each with its own constructor surface,
+There is one engine runtime, :class:`CaesarEngine`, with constructor-only
+variants: :class:`SupervisedEngine`, :class:`ContextIndependentEngine` and
+the shared-workload :class:`~repro.runtime.workload.WorkloadEngine` —
 plus two environment variables (``CAESAR_BACKEND``,
 ``CAESAR_OBSERVABILITY``).  This module puts one documented path in front
 of them::
@@ -38,11 +38,12 @@ from repro.optimizer.apply import OptimizationRules
 from repro.optimizer.sharing import SharedWorkload
 from repro.runtime.backend import ExecutionBackend
 from repro.runtime.deadletter import DeadLetterQueue
-from repro.runtime.engine import CaesarEngine, ScheduledWorkloadEngine
+from repro.runtime.engine import CaesarEngine
 from repro.runtime.queues import Partitioner, single_partition
 from repro.runtime.recovery import RecoveryManager
 from repro.runtime.shedding import SheddingConfig
 from repro.runtime.supervisor import SupervisedEngine
+from repro.runtime.workload import WorkloadEngine
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,10 @@ class EngineConfig:
     ``recovery`` accepts a :class:`~repro.runtime.recovery.RecoveryManager`,
     ``True`` for one with the default autosave interval, or ``False`` /
     ``None`` for no checkpointing.  ``aggregation`` selects how aggregating
-    DERIVE queries run (``"online"`` | ``"materialize"``; it does not apply
-    to a pre-built :class:`~repro.optimizer.sharing.SharedWorkload`).
+    DERIVE queries run (``"online"`` | ``"materialize"``).  A pre-built
+    :class:`~repro.optimizer.sharing.SharedWorkload` brings its own plans
+    and retention, so ``optimize``, ``aggregation`` and ``retention`` do
+    not apply to it.
     ``optimize`` additionally accepts an
     :class:`~repro.optimizer.apply.OptimizationRules` for per-rewrite
     control (the differential harness's optimizer axis).
@@ -143,13 +146,13 @@ def create_engine(
     model: CaesarModel | SharedWorkload,
     config: EngineConfig | None = None,
     **overrides,
-) -> CaesarEngine | ScheduledWorkloadEngine:
+) -> CaesarEngine:
     """Build the right engine stack for ``model`` under ``config``.
 
     ``model`` may be a :class:`~repro.core.model.CaesarModel` (the normal
     case) or a :class:`~repro.optimizer.sharing.SharedWorkload` (the
-    workload-sharing experiments), which yields a
-    :class:`ScheduledWorkloadEngine`.  Keyword ``overrides`` replace
+    workload-sharing experiments), which runs on the same engine with one
+    scheduled context per execution unit.  Keyword ``overrides`` replace
     individual fields of ``config`` (:func:`dataclasses.replace`), so call
     sites can share a base config and vary one knob.
     """
@@ -169,6 +172,14 @@ def create_engine(
             )
         config = dataclasses.replace(config, **overrides)
 
+    engine_kwargs = dict(
+        context_aware=config.context_aware,
+        partition_by=config.partition_by,
+        seconds_per_cost_unit=config.seconds_per_cost_unit,
+        gc_interval=config.gc_interval,
+        backend=config.backend,
+        observability=config.observability,
+    )
     if isinstance(model, SharedWorkload):
         for name in (
             "supervision",
@@ -182,25 +193,14 @@ def create_engine(
                 raise TypeError(
                     f"EngineConfig.{name} does not apply to a SharedWorkload"
                 )
-        return ScheduledWorkloadEngine(
-            model,
-            context_aware=config.context_aware,
-            seconds_per_cost_unit=config.seconds_per_cost_unit,
-            observability=config.observability,
-        )
+        return WorkloadEngine(model, **engine_kwargs)
 
-    engine_kwargs = dict(
+    engine_kwargs.update(
         optimize=config.optimize,
-        context_aware=config.context_aware,
         retention=config.retention,
         aggregation=config.aggregation,
-        partition_by=config.partition_by,
-        seconds_per_cost_unit=config.seconds_per_cost_unit,
-        gc_interval=config.gc_interval,
         preprocessors=tuple(config.preprocessors),
         on_context_transition=config.on_context_transition,
-        backend=config.backend,
-        observability=config.observability,
         shedding=config.shedding,
     )
     supervision = config.supervision_config()

@@ -124,11 +124,6 @@ class EventQuery:
         """True for DERIVE queries."""
         return not self.is_deriving
 
-    @property
-    def is_aggregating(self) -> bool:
-        """True for DERIVE queries whose clause aggregates over matches."""
-        return bool(self.derive_aggregates)
-
     def with_contexts(self, contexts: Sequence[str]) -> "EventQuery":
         """The same query re-targeted at a different CONTEXT clause.
 

@@ -82,8 +82,8 @@ def canonicalize(
     ``dedup`` collapses output multiplicity — the sharing comparison's
     contract is set-equality of derivations, with multiplicity owned by the
     non-shared side (one copy per covering window).  ``compare_windows=False``
-    drops the window component for engines that do not track context
-    windows (the scheduled workload engine).
+    drops the window component for workload runs, whose per-unit contexts
+    differ between the shared and the non-shared side by construction.
     """
     outputs = [canonical_event(e) for e in (extra_outputs or [])]
     outputs.extend(canonical_event(e) for e in report.outputs)

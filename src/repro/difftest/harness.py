@@ -81,10 +81,11 @@ class RunSpec:
     boundary — checkpoints are taken between transactions).  ``jitter``
     displaces each event's *arrival* by up to that many time units and
     recovers order through ``ReorderBuffer(max_delay=jitter)``.
-    ``workload`` switches to the scheduled workload engine over the
-    scenario's user-window schedule ("shared" groups windows, "nonshared"
-    runs one plan per (window, query)); its contract is derivation-set
-    equality, so those runs are canonicalized with ``dedup``.
+    ``workload`` runs the scenario's user-window schedule as a
+    :class:`~repro.optimizer.sharing.SharedWorkload` on the engine
+    ("shared" groups windows, "nonshared" runs one plan per (window,
+    query)); its contract is derivation-set equality, so those runs are
+    canonicalized with ``dedup``.
     ``drop_index`` silently drops one input event — the deliberate fault
     used to prove the harness detects and shrinks divergences.  ``shed``
     runs the engine under :data:`DIFF_SHED_CONFIG` admission control; the

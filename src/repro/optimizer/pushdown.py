@@ -12,7 +12,7 @@ the query it belongs to.
 from __future__ import annotations
 
 from repro.algebra.context_ops import ContextWindowOperator
-from repro.algebra.plan import CombinedQueryPlan, QueryPlan
+from repro.algebra.plan import QueryPlan
 
 
 def push_context_windows_down(plan: QueryPlan) -> QueryPlan:
@@ -32,15 +32,6 @@ def push_context_windows_down(plan: QueryPlan) -> QueryPlan:
     ]
     return QueryPlan(
         windows + others, name=plan.name, context_name=plan.context_name
-    )
-
-
-def push_down_combined(combined: CombinedQueryPlan) -> CombinedQueryPlan:
-    """Push context windows down in every plan of a combined plan."""
-    return CombinedQueryPlan(
-        [push_context_windows_down(plan) for plan in combined.plans],
-        name=combined.name,
-        context_name=combined.context_name,
     )
 
 

@@ -22,6 +22,11 @@ workloads, the sharing optimizer:
 The non-shared baseline (:func:`build_nonshared_workload`) instantiates one
 plan per (window, query) pair — each window runs its own copy of every
 query, which is what a context-unaware engine would do.
+
+Either workload runs on the one engine runtime
+(:class:`~repro.runtime.workload.WorkloadEngine`, built by
+:func:`~repro.api.create_engine`): each unit becomes a context that a
+schedule opens and closes at the unit's interval bounds.
 """
 
 from __future__ import annotations
@@ -47,24 +52,14 @@ class ExecutionUnit:
     """A plan plus the time intervals during which it is active.
 
     Intervals are half-open ``[start, end)``, sorted and non-overlapping.
-    Outside its intervals the unit is suspended: the scheduled engine feeds
-    it nothing and its state is reset on deactivation boundaries where no
-    adjacent interval continues it.
+    Outside its intervals the unit is suspended: its context is closed, so
+    the engine feeds it nothing and the context history discards its state
+    at every interval end.
     """
 
     plan: QueryPlan
     intervals: tuple[tuple[TimePoint, TimePoint], ...]
     query_names: tuple[str, ...] = ()
-
-    def active_at(self, t: TimePoint) -> bool:
-        return any(start <= t < end for start, end in self.intervals)
-
-    def interval_index_at(self, t: TimePoint) -> int | None:
-        """Index of the activation interval covering ``t``, if any."""
-        for index, (start, end) in enumerate(self.intervals):
-            if start <= t < end:
-                return index
-        return None
 
     def total_active_length(self) -> TimePoint:
         return sum(end - start for start, end in self.intervals)
@@ -76,18 +71,20 @@ class ExecutionUnit:
 
 @dataclass
 class SharedWorkload:
-    """The output of the sharing optimizer: execution units + grouping."""
+    """The output of the sharing optimizer: execution units + grouping.
+
+    ``retention`` is the horizon the unit plans were built with; the
+    engine running the workload garbage-collects with the same one.
+    """
 
     units: list[ExecutionUnit]
     grouped: list[GroupedWindow]
     shared: bool
+    retention: TimePoint = 300
 
     @property
     def plan_count(self) -> int:
         return len(self.units)
-
-    def active_units(self, t: TimePoint) -> list[ExecutionUnit]:
-        return [unit for unit in self.units if unit.active_at(t)]
 
     def span(self) -> tuple[TimePoint, TimePoint] | None:
         """Earliest start and latest end over all units, if any."""
@@ -217,7 +214,9 @@ def build_shared_workload(
         )
         for key, plan in plan_for.items()
     ]
-    return SharedWorkload(units=units, grouped=grouped, shared=True)
+    return SharedWorkload(
+        units=units, grouped=grouped, shared=True, retention=retention
+    )
 
 
 def build_nonshared_workload(
@@ -251,5 +250,8 @@ def build_nonshared_workload(
                 )
             )
     return SharedWorkload(
-        units=units, grouped=group_context_windows(specs), shared=False
+        units=units,
+        grouped=group_context_windows(specs),
+        shared=False,
+        retention=retention,
     )

@@ -22,7 +22,7 @@ schema-violating / late / quarantined events) and
 crash recovery by suffix replay).
 """
 
-from repro.runtime.engine import CaesarEngine, EngineReport, ScheduledWorkloadEngine
+from repro.runtime.engine import CaesarEngine, EngineReport
 from repro.runtime.backend import (
     BACKENDS,
     ExecutionBackend,
@@ -98,7 +98,6 @@ __all__ = [
     "REPORT_SCHEMA_VERSION",
     "RecoveryManager",
     "ReorderBuffer",
-    "ScheduledWorkloadEngine",
     "SheddingConfig",
     "SupervisedEngine",
     "TimeDrivenScheduler",

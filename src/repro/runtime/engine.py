@@ -10,11 +10,9 @@ garbage-collects expired state.  With ``context_aware=False`` and
 context-independent engine — every plan receives every batch and the context
 window operator sits un-pushed in the middle of each plan.
 
-:class:`ScheduledWorkloadEngine` executes a
-:class:`~repro.optimizer.sharing.SharedWorkload`: plans activated and
-suspended by precomputed window intervals, used for the workload-sharing
-experiments (Figures 13-14) where window bounds are part of the experiment
-design.
+It is the only run loop: the sharing experiments run a
+:class:`~repro.optimizer.sharing.SharedWorkload` on it too, with window
+bounds scripted as context transitions (:mod:`repro.runtime.workload`).
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from repro.optimizer.planner import (
     build_combined_plans,
     build_plans_for_queries,
 )
-from repro.optimizer.sharing import ExecutionUnit, SharedWorkload
 from repro.runtime.backend import ExecutionBackend, RunTotals, resolve_backend
 from repro.runtime.garbage import GarbageCollector
 from repro.runtime.history import ContextHistory
@@ -59,9 +56,7 @@ from repro.runtime.transactions import StreamTransaction
 
 #: ``run()`` keywords that were deprecated aliases for two releases and are
 #: now *removed*, mapped to their replacement.  Passing one raises
-#: ``TypeError`` naming the replacement instead of silently translating —
-#: the keyword set stays unified across :class:`CaesarEngine`,
-#: :class:`SupervisedEngine` and :class:`ScheduledWorkloadEngine`.
+#: ``TypeError`` naming the replacement instead of silently translating.
 _REMOVED_RUN_KWARGS = {
     "collect_outputs": "track_outputs",
     "keep_outputs": "track_outputs",
@@ -219,37 +214,43 @@ class _PartitionRuntime:
 
     def aggregation_counts(self) -> tuple[int, int]:
         """(matches_aggregated, matches_materialized) over all plans."""
-        return _aggregation_counts(
-            plan
-            for router in (self.deriving_router, self.processing_router)
-            for combined in router.all_plans()
-            for plan in combined.plans
-        )
+        aggregated = 0
+        materialized = 0
+        for router in (self.deriving_router, self.processing_router):
+            for combined in router.all_plans():
+                for plan in combined.plans:
+                    for operator in plan.operators:
+                        if isinstance(operator, PatternAggregateOperator):
+                            aggregated += operator.matches_aggregated
+                        elif isinstance(operator, MatchAggregateProjection):
+                            materialized += operator.matches_materialized
+        return aggregated, materialized
 
 
-def _aggregation_counts(plans) -> tuple[int, int]:
-    """(matches_aggregated, matches_materialized) over individual plans."""
-    aggregated = 0
-    materialized = 0
-    for plan in plans:
-        for operator in plan.operators:
-            if isinstance(operator, PatternAggregateOperator):
-                aggregated += operator.matches_aggregated
-            elif isinstance(operator, MatchAggregateProjection):
-                materialized += operator.matches_materialized
-    return aggregated, materialized
+class RunState:
+    """One run of a :class:`CaesarEngine`, from first batch to report.
 
+    The single driver behind every way of running an engine: constructing
+    a ``RunState`` *opens* the run (reset-vs-preserve decision, backend and
+    shedder ``begin_run``), :meth:`step` executes one timestamp's batch,
+    :meth:`finish` ends the run and builds its :class:`EngineReport`,
+    :meth:`abort` ends it without one.  :meth:`CaesarEngine.run` steps it
+    once per stream batch; :class:`~repro.runtime.session.EngineSession`
+    steps it as its reorder buffer releases timestamps.
 
-class _RunAccounting:
-    """Per-batch accounting of one run: latency, counts, outputs.
-
-    The half of a run every engine shares — :class:`RunState` adds the
-    distributor/scheduler/backend half that only :class:`CaesarEngine`
-    needs; :class:`ScheduledWorkloadEngine` accounts through this alone.
+    Everything in here is born and dies with a single run; everything on
+    the engine (partition runtimes, templates, supervision state) survives
+    across timestamps and is reset by :meth:`CaesarEngine.reset_run_state`.
+    A run after :func:`~repro.runtime.checkpoint.restore_checkpoint`
+    resumes from the restored state instead of resetting it.
     """
 
-    def __init__(self, instruments: EngineInstruments, track_outputs: bool):
-        self.instruments = instruments
+    def __init__(self, engine: "CaesarEngine", *, track_outputs: bool = True):
+        if engine._runs_started > 0 and not engine._preserve_state_once:
+            engine.reset_run_state()
+        engine._runs_started += 1
+        self.engine = engine
+        self.instruments = engine.instruments
         self.track_outputs = track_outputs
         self.latency = LatencyTracker()
         self.outputs: list[Event] = []
@@ -257,6 +258,18 @@ class _RunAccounting:
         self.events_processed = 0
         self.batches = 0
         self.wall_started = _time.perf_counter()
+        self.distributor = EventDistributor(engine.partition_by)
+        self.scheduler = TimeDrivenScheduler(
+            self.distributor, instruments=self.instruments
+        )
+        self.backend = engine.backend.for_engine(engine)
+        engine._effective_backend = self.backend
+        self.backend.begin_run(engine)
+        if engine.shedder is not None:
+            engine.shedder.begin_run(
+                distributor=self.distributor,
+                remote=not self.backend.local_state,
+            )
 
     def record_batch(
         self,
@@ -284,44 +297,6 @@ class _RunAccounting:
     @property
     def wall_seconds(self) -> float:
         return _time.perf_counter() - self.wall_started
-
-
-class RunState(_RunAccounting):
-    """One run of a :class:`CaesarEngine`, from first batch to report.
-
-    The single driver behind every way of running an engine: constructing
-    a ``RunState`` *opens* the run (reset-vs-preserve decision, backend and
-    shedder ``begin_run``), :meth:`step` executes one timestamp's batch,
-    :meth:`finish` ends the run and builds its :class:`EngineReport`,
-    :meth:`abort` ends it without one.  :meth:`CaesarEngine.run` steps it
-    once per stream batch; :class:`~repro.runtime.session.EngineSession`
-    steps it as its reorder buffer releases timestamps.
-
-    Everything in here is born and dies with a single run; everything on
-    the engine (partition runtimes, templates, supervision state) survives
-    across timestamps and is reset by :meth:`CaesarEngine.reset_run_state`.
-    A run after :func:`~repro.runtime.checkpoint.restore_checkpoint`
-    resumes from the restored state instead of resetting it.
-    """
-
-    def __init__(self, engine: "CaesarEngine", *, track_outputs: bool = True):
-        if engine._runs_started > 0 and not engine._preserve_state_once:
-            engine.reset_run_state()
-        engine._runs_started += 1
-        super().__init__(engine.instruments, track_outputs)
-        self.engine = engine
-        self.distributor = EventDistributor(engine.partition_by)
-        self.scheduler = TimeDrivenScheduler(
-            self.distributor, instruments=self.instruments
-        )
-        self.backend = engine.backend.for_engine(engine)
-        engine._effective_backend = self.backend
-        self.backend.begin_run(engine)
-        if engine.shedder is not None:
-            engine.shedder.begin_run(
-                distributor=self.distributor,
-                remote=not self.backend.local_state,
-            )
 
     def step(self, t: TimePoint, batch) -> list[Event]:
         """Execute the stream transactions of timestamp ``t``.
@@ -1010,6 +985,9 @@ class CaesarEngine:
         store = runtime.store
         t = transaction.timestamp
         ctx = ExecutionContext(windows=store, now=t)
+        # Taken before phase 0, so a window a preprocessor opens (the
+        # shared-workload schedule) counts as an initiation below.
+        active_before = set(store.active_contexts())
 
         # Phase 0 — always-active preprocessing stages (e.g. windowed
         # statistics); their derivations join the batch.
@@ -1023,7 +1001,6 @@ class CaesarEngine:
 
         # Phase 1 — context derivation (Section 6.2: derivation for time t
         # completes before any processing at t).
-        active_before = set(store.active_contexts())
         runtime.deriving_router.route(transaction.events, store, ctx)
         active_after = set(store.active_contexts())
         for context_name in active_before | active_after:
@@ -1091,112 +1068,3 @@ class CaesarEngine:
                 lines.append(f"  [{name}] {individual!r}")
         return "\n".join(lines)
 
-
-class ScheduledWorkloadEngine:
-    """Executes a :class:`SharedWorkload` whose activations are time-driven.
-
-    Used by the sharing experiments: window bounds are part of the
-    experiment design, so plans are activated/suspended by the precomputed
-    intervals instead of by context deriving queries.  Suspension semantics
-    match the context-aware engine: a unit outside its activation intervals
-    receives no events, and its partial matches are discarded when an
-    activation interval ends (merged intervals persist state across adjacent
-    grouped windows — the context history behaviour of Section 6.2).
-    """
-
-    def __init__(
-        self,
-        workload: SharedWorkload,
-        *,
-        context_aware: bool = True,
-        seconds_per_cost_unit: float | None = None,
-        observability: Observability | str | bool | None = None,
-    ):
-        self.workload = workload
-        self.context_aware = context_aware
-        self.seconds_per_cost_unit = seconds_per_cost_unit
-        self.observability = resolve_observability(observability)
-        self.instruments = EngineInstruments(self.observability.registry)
-        self._store = ContextWindowStore([], "default")
-        #: activation interval each unit was last seen in (None = inactive);
-        #: crossing an interval boundary discards the unit's partial matches
-        self._last_interval: dict[int, int | None] = {
-            id(unit): None for unit in workload.units
-        }
-
-    def run(
-        self,
-        stream: EventStream,
-        *,
-        track_outputs: bool = True,
-        **unsupported,
-    ) -> EngineReport:
-        if unsupported:
-            _reject_unknown_run_kwargs(type(self).__name__, unsupported)
-        state = _RunAccounting(self.instruments, track_outputs)
-        cost_total = 0.0
-        suppressed = 0
-        routed = 0
-        for batch in stream.batches():
-            t = batch.timestamp
-            ctx = ExecutionContext(windows=self._store, now=t)
-            cost_before = cost_total
-            wall_before = _time.perf_counter()
-            batch_outputs: list[Event] = []
-            events = list(batch)
-            for unit in self.workload.units:
-                interval = unit.interval_index_at(t)
-                if interval is None and not self.context_aware:
-                    interval = -1  # the CI baseline is always active
-                previous = self._last_interval[id(unit)]
-                if interval is None:
-                    if previous is not None:
-                        # the activation interval ended: partial matches of
-                        # the suspended queries are safely discarded
-                        unit.plan.reset_state()
-                    self._last_interval[id(unit)] = None
-                    suppressed += 1
-                    continue
-                if previous is not None and previous != interval:
-                    # re-activated in a *different* interval: the originating
-                    # user window ended in between, so stale state must not
-                    # leak across (Section 6.2, context history)
-                    unit.plan.reset_state()
-                if previous is None and interval >= 0:
-                    # activation after a silent gap (no batches arrived while
-                    # the unit was suspended): clear pre-window state
-                    unit.plan.reset_state()
-                self._last_interval[id(unit)] = interval
-                routed += 1
-                before = unit.plan.total_cost_units()
-                batch_outputs.extend(unit.plan.execute(events, ctx))
-                batch_outputs.extend(unit.plan.advance_time(t, ctx))
-                cost_total += unit.plan.total_cost_units() - before
-            if self.seconds_per_cost_unit is not None:
-                service = (cost_total - cost_before) * self.seconds_per_cost_unit
-            else:
-                service = _time.perf_counter() - wall_before
-            state.record_batch(t, len(events), batch_outputs, service)
-            if self.observability.snapshot_due(state.batches):
-                self.observability.emit_snapshot(t)
-                self.instruments.snapshots.inc()
-        self.instruments.cost_units.inc(cost_total)
-        self.instruments.suppressed.inc(suppressed)
-        self.instruments.routed.inc(routed)
-        matches_aggregated, matches_materialized = _aggregation_counts(
-            unit.plan for unit in self.workload.units
-        )
-        return EngineReport(
-            outputs=state.outputs,
-            events_processed=state.events_processed,
-            batches=state.batches,
-            cost_units=cost_total,
-            wall_seconds=state.wall_seconds,
-            max_latency=state.latency.max_latency,
-            mean_latency=state.latency.mean_latency,
-            outputs_by_type=state.outputs_by_type,
-            suppressed_batches=suppressed,
-            routed_batches=routed,
-            matches_aggregated=matches_aggregated,
-            matches_materialized=matches_materialized,
-        )

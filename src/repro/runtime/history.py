@@ -2,67 +2,26 @@
 
 When a user-defined context window ends, the event queries associated with
 it are suspended and will not produce new matches until re-activated — so
-their partial matches can be safely discarded.  But when a user window has
-been *split* into grouped windows (Listing 1), partial matches must be kept
-across the grouped windows originating from the same user window and only
-expire when the last of them ends.
-
-:class:`ContextHistory` implements both behaviours over the pattern
-operators' snapshot/restore/reset hooks.
+their partial matches can be safely discarded.  When a user window has been
+*split* into grouped windows (Listing 1), partial matches must instead
+survive across the grouped windows originating from the same user window.
+The sharing optimizer gets that for free: it merges a unit's adjacent
+activation intervals (:mod:`repro.optimizer.sharing`), so its context stays
+open across the split and nothing is discarded there.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
-
 from repro.algebra.plan import CombinedQueryPlan, QueryPlan
-from repro.events.timebase import TimePoint
 
 
 class ContextHistory:
-    """Manages partial-match lifetimes across context window boundaries."""
+    """Discards partial matches when a context window ends."""
 
     def __init__(self) -> None:
-        #: snapshots saved for suspended-but-continuing workloads
-        self._snapshots: dict[str, list[Mapping]] = {}
         self.discards = 0
-        self.preservations = 0
-
-    # ------------------------------------------------------------------
-    # plain context windows: discard on termination
-    # ------------------------------------------------------------------
 
     def on_context_terminated(self, plan: CombinedQueryPlan | QueryPlan) -> None:
         """The window ended for good: partial matches are safely discarded."""
         plan.reset_state()
         self.discards += 1
-
-    # ------------------------------------------------------------------
-    # grouped windows: preserve across adjacent splits
-    # ------------------------------------------------------------------
-
-    def preserve(self, key: str, plan: QueryPlan) -> None:
-        """Save a plan's pattern state across a grouped-window boundary."""
-        snapshots = [
-            operator.snapshot_state() for operator in plan.pattern_operators
-        ]
-        self._snapshots[key] = snapshots
-        self.preservations += 1
-
-    def restore(self, key: str, plan: QueryPlan) -> bool:
-        """Restore previously preserved state; True if something restored."""
-        snapshots = self._snapshots.pop(key, None)
-        if snapshots is None:
-            return False
-        for operator, snapshot in zip(plan.pattern_operators, snapshots):
-            operator.restore_state(snapshot)
-        return True
-
-    def drop(self, key: str) -> None:
-        """Expire preserved state (the originating user window ended)."""
-        if self._snapshots.pop(key, None) is not None:
-            self.discards += 1
-
-    @property
-    def held_keys(self) -> tuple[str, ...]:
-        return tuple(self._snapshots)

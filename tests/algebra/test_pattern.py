@@ -186,6 +186,19 @@ class TestRetention:
         op.process([ev(A, 0)], ctx())
         assert len(op.process([ev(B, 50)], ctx())) == 1
 
+    @pytest.mark.parametrize("origin", [-2000, -1000, -150, 0, 500])
+    def test_expiry_does_not_depend_on_the_epoch(self, origin):
+        """Retention is relative to the newest event, so shifting a stream
+        by a constant (negative timestamps included) changes nothing."""
+        spec = Sequence((EventMatch("A", "a"), EventMatch("B", "b")))
+        far = PatternOperator(spec, retention=300)
+        far.process([ev(A, origin)], ctx())
+        assert far.process([ev(B, origin + 1050)], ctx()) == []
+        assert far.state_size() == 0
+        near = PatternOperator(spec, retention=300)
+        near.process([ev(A, origin)], ctx())
+        assert len(near.process([ev(B, origin + 100)], ctx())) == 1
+
     def test_explicit_expiry(self):
         spec = Sequence((EventMatch("A", "a"), EventMatch("B", "b")))
         op = PatternOperator(spec, retention=1000)

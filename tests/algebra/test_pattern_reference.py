@@ -51,8 +51,7 @@ def reference_sequence_matches(events, positives, gap_negations, retention=None)
     match must arrive in order, and a negated event blocks a gap only if
     it arrived before the positive closing that gap.  ``retention`` also
     expires a partial match older than ``retention`` when the next
-    positive arrives (once that positive is past ``retention``); this part
-    of the model assumes in-order arrival.
+    positive arrives; this part of the model assumes in-order arrival.
     """
     arrival = {id(e): i for i, e in enumerate(events)}
     matches = []
@@ -68,7 +67,7 @@ def reference_sequence_matches(events, positives, gap_negations, retention=None)
         if any(b <= a for a, b in zip(order, order[1:])):
             continue
         if retention is not None and any(
-            b > retention and b - retention > a for a, b in zip(times, times[1:])
+            b - retention > a for a, b in zip(times, times[1:])
         ):
             continue
         binding = {var: event for (_, var), event in zip(positives, combo)}
@@ -120,7 +119,7 @@ def binding_key(binding):
 events_strategy = st.lists(
     st.tuples(
         st.sampled_from(["A", "B", "C"]),
-        st.integers(min_value=0, max_value=100),
+        st.integers(min_value=-100, max_value=100),
     ),
     min_size=0,
     max_size=14,
@@ -145,6 +144,18 @@ class TestAgainstReference:
             events, [("A", "x"), ("B", "y")], [[], []]
         )
         assert sorted(binding_key(m.binding) for m in incremental) == sorted(
+            binding_key(b) for b in expected
+        )
+
+    @given(events_strategy, st.sampled_from([5, 20, 60]))
+    @settings(max_examples=120, deadline=None)
+    def test_retention_expires_partials(self, events, retention):
+        spec = Sequence((EventMatch("A", "x"), EventMatch("B", "y")))
+        op = PatternOperator(spec, retention=retention)
+        expected = reference_sequence_matches(
+            events, [("A", "x"), ("B", "y")], [[], []], retention
+        )
+        assert sorted(run_events(op, events)) == sorted(
             binding_key(b) for b in expected
         )
 
@@ -248,7 +259,7 @@ keyed_payloads = st.fixed_dictionaries(
 keyed_arrivals = st.lists(
     st.tuples(
         st.sampled_from(["A", "B", "C"]),
-        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=-30, max_value=30),
         keyed_payloads,
     ),
     min_size=0,
@@ -466,7 +477,7 @@ class TestKeyedHistoryLifecycle:
         st.sampled_from(GAP_GUARDS),
         st.sampled_from(["A", "C"]),
         st.integers(min_value=0, max_value=14),
-        st.integers(min_value=0, max_value=31),
+        st.integers(min_value=-31, max_value=31),
     )
     @settings(max_examples=150, deadline=None)
     def test_expire_then_suffix(self, events, guard, neg_type, split, cutoff):

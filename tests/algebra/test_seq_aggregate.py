@@ -39,7 +39,6 @@ from repro.optimizer.sharing import (
     build_nonshared_workload,
     build_shared_workload,
 )
-from repro.runtime.engine import ScheduledWorkloadEngine
 
 TICK = EventType.define("SAggTick", v="int")
 OUT = EventType.define("SAggOut", count="int", s="int", lo="int", hi="int")
@@ -185,6 +184,26 @@ class TestEvaluation:
         operator = pair_operator()
         events = [Event(TICK, 4, {"v": 1}), Event(TICK, 4, {"v": 2})]
         assert operator.process(events, _ctx()) == []
+
+    @pytest.mark.parametrize("origin", [-2000, -1000, -150, 0, 500])
+    def test_expiry_does_not_depend_on_the_epoch(self, origin):
+        """Retention is relative to the newest event, so shifting a stream
+        by a constant (negative timestamps included) changes nothing."""
+        def count_operator():
+            return PatternAggregateOperator(
+                Sequence((EventMatch("SAggTick", "a"),
+                          EventMatch("SAggTick", "b"))),
+                (AggregateOutput(OUT, (MatchAggregate("count", "count"),)),),
+                retention=300,
+            )
+
+        far = count_operator()
+        far.process([Event(TICK, origin, {"v": 1})], _ctx())
+        assert far.process([Event(TICK, origin + 1050, {"v": 2})], _ctx()) == []
+        near = count_operator()
+        near.process([Event(TICK, origin, {"v": 1})], _ctx())
+        out = near.process([Event(TICK, origin + 100, {"v": 2})], _ctx())
+        assert [e.payload["count"] for e in out] == [1]
 
     def test_missing_attribute_contributes_no_match(self):
         # the second event lacks the aggregation target entirely: the pair
@@ -367,7 +386,7 @@ def fused_window_specs():
 
 
 def run_workload(builder, events):
-    engine = ScheduledWorkloadEngine(
+    engine = create_engine(
         builder(fused_window_specs(), retention=RETENTION)
     )
     report = engine.run(EventStream(iter(events)), track_outputs=True)

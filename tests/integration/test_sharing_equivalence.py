@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.expressions import attr
+from repro.api import create_engine
 from repro.algebra.pattern import EventMatch
 from repro.core.queries import EventQuery, QueryAction
 from repro.core.windows import WindowSpec
@@ -23,7 +24,6 @@ from repro.optimizer.sharing import (
     build_nonshared_workload,
     build_shared_workload,
 )
-from repro.runtime.engine import ScheduledWorkloadEngine
 
 READING = EventType.define("Reading", value="int", sec="int")
 OUT = EventType.define("Out", value="int", sec="int")
@@ -75,7 +75,7 @@ def scenario(draw):
 
 
 def run(workload_builder, specs, events):
-    engine = ScheduledWorkloadEngine(workload_builder(specs))
+    engine = create_engine(workload_builder(specs))
     return engine.run(EventStream(events))
 
 

@@ -1,17 +1,22 @@
 """Tests for shared execution of grouped context windows (Section 5.3)."""
 
 from repro.algebra.expressions import attr
+from repro.api import create_engine
 from repro.algebra.pattern import EventMatch
 from repro.core.queries import EventQuery, QueryAction
 from repro.core.windows import WindowSpec
+from repro.events.event import Event
+from repro.events.stream import EventStream
 from repro.events.types import EventType
 from repro.optimizer.sharing import (
     ExecutionUnit,
+    SharedWorkload,
     build_nonshared_workload,
     build_shared_workload,
     _merge_intervals,
 )
 
+A = EventType.define("A", n="int")
 OUT = EventType.define("Out", n="int")
 
 
@@ -53,6 +58,15 @@ class TestIntervalMerge:
         assert _merge_intervals([(10, 15), (0, 5)]) == ((0, 5), (10, 15))
 
 
+def covering(workload, t):
+    """The units whose half-open activation intervals contain ``t``."""
+    return [
+        unit
+        for unit in workload.units
+        if any(start <= t < end for start, end in unit.intervals)
+    ]
+
+
 class TestSharedWorkload:
     def test_one_plan_per_distinct_query(self):
         workload = build_shared_workload(SPECS)
@@ -77,13 +91,13 @@ class TestSharedWorkload:
         workload = build_shared_workload(SPECS)
         names_at_25 = {
             name
-            for unit in workload.active_units(25)
+            for unit in covering(workload, 25)
             for name in unit.query_names
         }
         assert names_at_25 == {"q_shared", "q_a", "q_b"}
         names_at_40 = {
             name
-            for unit in workload.active_units(40)
+            for unit in covering(workload, 40)
             for name in unit.query_names
         }
         assert names_at_40 == {"q_shared", "q_b"}
@@ -109,7 +123,7 @@ class TestNonSharedWorkload:
 
     def test_duplicated_query_runs_twice_in_overlap(self):
         workload = build_nonshared_workload(SPECS)
-        active = workload.active_units(25)
+        active = covering(workload, 25)
         shared_instances = [
             u for u in active if "q_shared" in u.query_names
         ]
@@ -118,14 +132,17 @@ class TestNonSharedWorkload:
 
 class TestExecutionUnit:
     def test_active_at(self):
+        # the engine runs a unit exactly inside its half-open intervals
         unit = ExecutionUnit(
             plan=build_shared_workload(SPECS).units[0].plan,
             intervals=((0, 10), (20, 30)),
         )
-        assert unit.active_at(0)
-        assert not unit.active_at(10)
-        assert unit.active_at(25)
-        assert not unit.active_at(30)
+        workload = SharedWorkload(units=[unit], grouped=[], shared=True)
+        stream = EventStream(
+            Event(A, t, {"n": 10}) for t in (0, 9, 10, 15, 20, 25, 30)
+        )
+        report = create_engine(workload).run(stream)
+        assert [e.timestamp for e in report.outputs] == [0, 9, 20, 25]
 
     def test_total_active_length(self):
         unit = ExecutionUnit(

@@ -7,7 +7,8 @@ from repro.events.event import Event
 from repro.events.stream import EventStream
 from repro.events.types import EventType
 from repro.language import parse_query
-from repro.runtime.engine import CaesarEngine, ScheduledWorkloadEngine
+from repro.api import EngineConfig, create_engine
+from repro.runtime.engine import CaesarEngine
 from repro.core.windows import WindowSpec
 from repro.optimizer.sharing import build_shared_workload
 
@@ -134,7 +135,10 @@ class TestLatencyModes:
         assert report.max_latency >= 0
 
 
-class TestScheduledWorkloadEngine:
+class TestSharedWorkloadRun:
+    """A :class:`SharedWorkload` on the engine: each unit's context is
+    opened and closed by the schedule at its interval bounds."""
+
     def make_workload(self):
         query = parse_query(
             "DERIVE Alarm(r.value) PATTERN Reading r WHERE r.value > 0",
@@ -143,39 +147,97 @@ class TestScheduledWorkloadEngine:
         specs = [WindowSpec("w", start=20, end=50, queries=(query,))]
         return build_shared_workload(specs)
 
+    @staticmethod
+    def pairs_query():
+        return parse_query(
+            "DERIVE Pair(a.value, b.value) "
+            "PATTERN SEQ(Reading a, Reading b) WHERE a.value = b.value",
+            name="pairs",
+        )
+
+    def pairs_workload(self, *windows):
+        query = self.pairs_query()
+        return build_shared_workload([
+            WindowSpec(f"w{index}", start=start, end=end, queries=(query,))
+            for index, (start, end) in enumerate(windows)
+        ])
+
+    @staticmethod
+    def pairs(report):
+        return [
+            (e.start_time, e.timestamp)
+            for e in report.outputs
+            if e.type_name == "Pair"
+        ]
+
     def test_units_active_only_inside_intervals(self):
-        engine = ScheduledWorkloadEngine(self.make_workload())
+        engine = create_engine(self.make_workload())
         stream = EventStream(reading(t, t + 1) for t in range(0, 80, 10))
         report = engine.run(stream)
         derived_times = sorted(e.timestamp for e in report.outputs)
         assert derived_times == [20, 30, 40]
+        assert report.routed_batches == 3
+        assert report.suppressed_batches == 5
 
     def test_context_independent_mode_processes_everything(self):
-        engine = ScheduledWorkloadEngine(
-            self.make_workload(), context_aware=False
-        )
+        engine = create_engine(self.make_workload(), context_aware=False)
         stream = EventStream(reading(t, t + 1) for t in range(0, 80, 10))
         report = engine.run(stream)
         assert len(report.outputs) == 8
 
     def test_state_reset_on_deactivation(self):
-        query = parse_query(
-            "DERIVE Pair(a.value, b.value) "
-            "PATTERN SEQ(Reading a, Reading b) WHERE a.value = b.value",
-            name="pairs",
-        )
-        specs = [
-            WindowSpec("w1", start=0, end=15, queries=(query,)),
-            WindowSpec("w2", start=30, end=60, queries=(query,)),
-        ]
-        engine = ScheduledWorkloadEngine(build_shared_workload(specs))
+        engine = create_engine(self.pairs_workload((0, 15), (30, 60)))
         # a=7 at t=10 (window 1); b=7 at t=40 (window 2) — the partial
-        # match from window 1 must NOT pair with window 2's event
+        # match from window 1 must NOT pair with window 2's event; the
+        # batch at t=20 closes window 1
+        stream = EventStream([
+            reading(10, 7), reading(20, 0), reading(40, 7), reading(50, 7)
+        ])
+        assert self.pairs(engine.run(stream)) == [(40, 50)]
+
+    @pytest.mark.parametrize("context_aware", [True, False])
+    def test_state_reset_across_a_silent_gap(self, context_aware):
+        # no batch arrives between the two intervals, so the unit's window
+        # is still open at t=40 and must be closed and reopened there
+        engine = create_engine(
+            self.pairs_workload((0, 15), (30, 60)),
+            context_aware=context_aware,
+        )
         stream = EventStream([reading(10, 7), reading(40, 7), reading(50, 7)])
-        report = engine.run(stream)
-        pairs = [
-            (e.start_time, e.timestamp)
-            for e in report.outputs
-            if e.type_name == "Pair"
-        ]
-        assert pairs == [(40, 50)]
+        assert self.pairs(engine.run(stream)) == [(40, 50)]
+
+    def test_context_independent_window_opening_discards_prior_state(self):
+        # the context-independent baseline sees a@10 outside the window;
+        # the schedule's initiation at t=30 must count as one, so the
+        # pre-window partial match is dropped before b@30 is processed
+        engine = create_engine(
+            self.pairs_workload((20, 50)), context_aware=False
+        )
+        stream = EventStream([reading(10, 7), reading(30, 7)])
+        assert self.pairs(engine.run(stream)) == []
+
+    def test_partials_survive_a_grouped_window_split(self):
+        # "w2" splits "w1" into grouped windows [0, 20) and [20, 30); the
+        # pairs unit's intervals merge back to [0, 30), so its context stays
+        # open across the split and a@10 still pairs with b@25
+        alarm = parse_query(
+            "DERIVE Alarm(r.value) PATTERN Reading r", name="alarm"
+        )
+        workload = build_shared_workload([
+            WindowSpec("w1", start=0, end=30, queries=(self.pairs_query(),)),
+            WindowSpec("w2", start=20, end=50, queries=(alarm,)),
+        ])
+        assert len(workload.grouped) == 3
+        stream = EventStream([reading(10, 7), reading(25, 7)])
+        assert self.pairs(create_engine(workload).run(stream)) == [(10, 25)]
+
+    def test_engine_retention_is_the_workloads(self):
+        query = parse_query(
+            "DERIVE Alarm(r.value) PATTERN Reading r", name="q"
+        )
+        workload = build_shared_workload(
+            [WindowSpec("w", start=0, end=10, queries=(query,))],
+            retention=42,
+        )
+        engine = create_engine(workload, EngineConfig(retention=7))
+        assert engine.retention == 42

@@ -41,38 +41,6 @@ class TestContextHistory:
         assert plan.state_size() == 0
         assert history.discards == 1
 
-    def test_preserve_and_restore_across_boundary(self):
-        """Partial matches survive a grouped-window boundary (Section 6.2)."""
-        history = ContextHistory()
-        plan = seq_plan()
-        plan.execute([ev(A, 1)], ctx())
-        history.preserve("w1", plan)
-        plan.reset_state()
-        assert history.restore("w1", plan) is True
-        out = plan.execute([ev(B, 2)], ctx())
-        assert len(out) == 1  # the partial match completed after restore
-
-    def test_restore_unknown_key(self):
-        history = ContextHistory()
-        assert history.restore("nope", seq_plan()) is False
-
-    def test_restore_consumes_snapshot(self):
-        history = ContextHistory()
-        plan = seq_plan()
-        plan.execute([ev(A, 1)], ctx())
-        history.preserve("w", plan)
-        assert history.restore("w", plan)
-        assert not history.restore("w", plan)
-
-    def test_drop_expires_preserved_state(self):
-        history = ContextHistory()
-        plan = seq_plan()
-        plan.execute([ev(A, 1)], ctx())
-        history.preserve("w", plan)
-        history.drop("w")
-        assert history.held_keys == ()
-        assert history.discards == 1
-
 
 class TestGarbageCollector:
     def make_combined(self):

@@ -442,8 +442,8 @@ class TestWiring:
         assert report.shed_decision_digest != ""
 
     def test_shedder_rejected_for_shared_workloads(self):
-        # a SharedWorkload engine has no admission path; the config is
-        # rejected instead of silently ignored
+        # a SharedWorkload runs with shedding off; the config is rejected
+        # instead of silently ignored
         from repro.core.windows import WindowSpec
         from repro.optimizer.sharing import build_shared_workload
 

@@ -21,7 +21,6 @@ from repro.optimizer.sharing import build_shared_workload
 from repro.runtime import (
     CaesarEngine,
     REPORT_SCHEMA_VERSION,
-    ScheduledWorkloadEngine,
     SerialBackend,
     SupervisedEngine,
     report_to_dict,
@@ -131,7 +130,21 @@ class TestCreateEngine:
 
     def test_shared_workload_builds_scheduled_engine(self):
         engine = create_engine(build_workload())
-        assert isinstance(engine, ScheduledWorkloadEngine)
+        assert isinstance(engine, CaesarEngine)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("supervision", True),
+            ("recovery", True),
+            ("preprocessors", (object(),)),
+            ("on_context_transition", print),
+            ("shedding", True),
+        ],
+    )
+    def test_shared_workload_rejects_unsupported_field(self, field, value):
+        with pytest.raises(TypeError, match=f"EngineConfig.{field}"):
+            create_engine(build_workload(), **{field: value})
 
     def test_shared_workload_rejects_supervision(self):
         with pytest.raises(TypeError, match="does not apply"):
