@@ -204,6 +204,7 @@ class AggregateOperator(Operator):
     """
 
     unit_cost = 0.8
+    reacts_to_time = True
 
     def __init__(
         self,
@@ -256,7 +257,7 @@ class AggregateOperator(Operator):
                         groups[key] = accumulator
                     accumulator.add(self.functions, event)
             out.extend(self._flush_before(event.timestamp))
-        self._account(len(events), len(out), self.unit_cost * len(events))
+        self._account(ctx, len(events), len(out), self.unit_cost * len(events))
         return out
 
     def on_time_advance(self, now: TimePoint, ctx: ExecutionContext) -> list[Event]:

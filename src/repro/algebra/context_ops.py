@@ -37,7 +37,7 @@ class ContextInitiation(Operator):
     def process(self, events: list[Event], ctx: ExecutionContext) -> list[Event]:
         for event in events:
             ctx.windows.initiate(self.context_name, event.timestamp)
-        self._account(len(events), len(events), self.unit_cost * len(events))
+        self._account(ctx, len(events), len(events), self.unit_cost * len(events))
         return events
 
 
@@ -58,7 +58,7 @@ class ContextTermination(Operator):
     def process(self, events: list[Event], ctx: ExecutionContext) -> list[Event]:
         for event in events:
             ctx.windows.terminate(self.context_name, event.timestamp)
-        self._account(len(events), len(events), self.unit_cost * len(events))
+        self._account(ctx, len(events), len(events), self.unit_cost * len(events))
         return events
 
 
@@ -89,5 +89,5 @@ class ContextWindowOperator(Operator):
             out = events
         else:
             out = []
-        self._account(len(events), len(out), self.unit_cost)
+        self._account(ctx, len(events), len(out), self.unit_cost)
         return out

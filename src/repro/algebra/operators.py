@@ -58,11 +58,13 @@ class ExecutionContext:
 
     ``windows`` is the store of current context windows (the context bit
     vector plus window objects); ``now`` is the application timestamp of the
-    batch being processed.
+    batch being processed.  Operators also charge their cost into
+    ``cost_units``, which the router zeroes before a plan runs.
     """
 
     windows: "ContextWindowStore"
     now: TimePoint = 0
+    cost_units: float = 0.0
 
 
 class Operator:
@@ -74,6 +76,8 @@ class Operator:
 
     #: Abstract CPU cost charged per input event (Section 5.1's cost model).
     unit_cost: float = 1.0
+    #: Whether :meth:`on_time_advance` can emit or expire state (else: no ticks).
+    reacts_to_time: bool = False
 
     def __init__(self, name: str):
         self.name = name
@@ -118,11 +122,12 @@ class Operator:
     def restore_state(self, snapshot) -> None:
         """Restore state produced by :meth:`snapshot_state` (default no-op)."""
 
-    def _account(self, events_in: int, events_out: int, cost: float) -> None:
+    def _account(self, ctx, events_in: int, events_out: int, cost: float) -> None:
         self.stats.invocations += 1
         self.stats.events_in += events_in
         self.stats.events_out += events_out
         self.stats.cost_units += cost
+        ctx.cost_units += cost
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"

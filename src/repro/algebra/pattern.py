@@ -232,15 +232,19 @@ class _PendingMatch:
     binding: dict[str, Event]
     deadline: TimePoint
     blocked: bool = False
+    #: timestamp of the last positive event: set on live matches only (not
+    #: a field), so snapshots keep their format and restore recomputes it
+    last_time = float("-inf")
 
 
-class _GapNegation:
-    """A gap negation split by :func:`split_guard`: the full ``guard``
-    decides, ``own`` gates history admission, ``probe`` computes the key
-    the first ``var.key_attr = probe`` conjunct looks up."""
+class _Negation:
+    """A negation split by :func:`split_guard`: the full ``guard``
+    decides, ``own`` gates which events can block at all, ``probe``
+    computes the key the first ``var.key_attr = probe`` conjunct looks up."""
 
     def __init__(self, negation: NegatedSpec):
         self.type_name, self.var = negation.inner.type_name, negation.inner.var
+        self.within = negation.within
         self.guard = self.probe = self.key_attr = None
         self.own: list[Callable[[Mapping[str, Event]], Any]] = []
         if negation.guard is not None:
@@ -251,6 +255,15 @@ class _GapNegation:
                 self.key_attr, probe = keys[0]
                 self.probe = probe.compile()
 
+    def admits(self, event: Event) -> bool:
+        """Whether all own conjuncts hold for ``event``: if not, the guard
+        is false (or raises) under every binding."""
+        binding = {self.var: event}
+        try:
+            return all(conjunct(binding) for conjunct in self.own)
+        except ExpressionError:
+            return False
+
 
 @dataclass
 class _SequencePlan:
@@ -259,8 +272,8 @@ class _SequencePlan:
     positives: tuple[EventMatch, ...]
     #: ``gap_negations[i]`` lists negations between positive ``i-1`` and
     #: positive ``i``; index 0 holds leading negations.
-    gap_negations: tuple[tuple[_GapNegation, ...], ...]
-    trailing: tuple[NegatedSpec, ...]
+    gap_negations: tuple[tuple[_Negation, ...], ...]
+    trailing: tuple[_Negation, ...]
 
 
 def _analyze(sequence: Sequence) -> _SequencePlan:
@@ -281,12 +294,10 @@ def _analyze(sequence: Sequence) -> _SequencePlan:
                 "time bound (Section 4.1: a negated event ending a sequence "
                 "requires a temporal constraint)"
             )
-        if negation.guard is not None:
-            negation.guard.compile()
     return _SequencePlan(
         positives=tuple(positives),
-        gap_negations=tuple(tuple(_GapNegation(n) for n in g) for g in gaps),
-        trailing=trailing,
+        gap_negations=tuple(tuple(_Negation(n) for n in g) for g in gaps),
+        trailing=tuple(_Negation(n) for n in trailing),
     )
 
 
@@ -306,7 +317,7 @@ class _NegationHistory:
     accept, and the guard decides on each of them.
     """
 
-    def __init__(self, negations: list[_GapNegation]):
+    def __init__(self, negations: list[_Negation]):
         self.negations = negations
         self.events: deque[Event] = deque()
         self.index: dict[str, tuple[dict[Any, list[Event]], list[Event]]] = {
@@ -315,14 +326,7 @@ class _NegationHistory:
 
     def may_block(self, event: Event) -> bool:
         """Whether all own conjuncts of some negation hold for ``event``."""
-        for negation in self.negations:
-            binding = {negation.var: event}
-            try:
-                if all(conjunct(binding) for conjunct in negation.own):
-                    return True
-            except ExpressionError:
-                pass
-        return False
+        return any(negation.admits(event) for negation in self.negations)
 
     def _slot(self, attr: str, event: Event) -> list[Event] | None:
         key = event._payload.get(attr, _MISSING)
@@ -365,7 +369,7 @@ class _NegationHistory:
             self.append(event)
 
     def candidates(
-        self, negation: _GapNegation, binding: Mapping[str, Event]
+        self, negation: _Negation, binding: Mapping[str, Event]
     ) -> Iterable[Event]:
         """The retained events that may satisfy ``negation``'s guard."""
         if negation.probe is None:
@@ -413,20 +417,21 @@ class PatternOperator(Operator):
             self._plan = None
         else:
             raise PlanError(f"unsupported pattern spec: {spec!r}")
-        self._negated_types: set[str] = set()
+        #: only a sequence holds state that a time tick can expire or emit
+        self.reacts_to_time = self._plan is not None
         #: keyed negation history, only for types some gap negation reads;
         #: trailing negations check arriving events directly
         self._history: dict[str, _NegationHistory] = {}
+        #: trailing negations by negated type
+        self._trailing: dict[str, list[_Negation]] = {}
         if self._plan is not None:
-            by_type: dict[str, list[_GapNegation]] = {}
+            by_type: dict[str, list[_Negation]] = {}
             for gap in self._plan.gap_negations:
                 for negation in gap:
                     by_type.setdefault(negation.type_name, []).append(negation)
             self._history = {t: _NegationHistory(n) for t, n in by_type.items()}
-            self._negated_types.update(by_type)
-            self._negated_types.update(
-                n.inner.type_name for n in self._plan.trailing
-            )
+            for negation in self._plan.trailing:
+                self._trailing.setdefault(negation.type_name, []).append(negation)
         #: partial matches indexed by the *next positive type* they wait
         #: for — an incoming event only touches the partials it can extend
         self._partials_by_next: dict[str, list[_Partial]] = {}
@@ -501,10 +506,11 @@ class PatternOperator(Operator):
             bucket.clear()
         for p in snapshot["partials"]:
             self._add_partial(_Partial(dict(p.binding), p.next_index, p.last_time))
-        self._pending = [
-            _PendingMatch(dict(p.binding), p.deadline, p.blocked)
-            for p in snapshot["pending"]
-        ]
+        self._pending = []
+        for p in snapshot["pending"]:
+            pending = _PendingMatch(dict(p.binding), p.deadline, p.blocked)
+            pending.last_time = max(e.timestamp for e in p.binding.values())
+            self._pending.append(pending)
         for type_name, history in self._history.items():
             history.reset(snapshot["history"].get(type_name, ()))
         self._now = snapshot["now"]
@@ -530,7 +536,7 @@ class PatternOperator(Operator):
         for event in events:
             out.extend(self._consume(event))
         cost = self.unit_cost * len(events) + 0.1 * self._partial_count()
-        self._account(len(events), len(out), cost)
+        self._account(ctx, len(events), len(out), cost)
         return out
 
     def on_time_advance(self, now: TimePoint, ctx: ExecutionContext) -> list[Event]:
@@ -545,11 +551,12 @@ class PatternOperator(Operator):
             return self._match_single(event)
         emitted: list[Event] = []
         # Negated-type events may block pending trailing-negation matches.
-        if event.type_name in self._negated_types:
-            self._block_pending(event)
-            history = self._history.get(event.type_name)
-            if history is not None and history.may_block(event):
-                history.append(event)
+        trailing = self._trailing.get(event.type_name)
+        if trailing is not None and self._pending:
+            self._block_pending(event, trailing)
+        history = self._history.get(event.type_name)
+        if history is not None and history.may_block(event):
+            history.append(event)
         if timestamp < self._oldest:
             self._oldest = timestamp
         # Horizon expiry is idempotent at a fixed ``_now``, so it only needs
@@ -643,25 +650,12 @@ class PatternOperator(Operator):
                 binding[var] = shadowed
         return True
 
-    def _guard_holds(
-        self, negation: NegatedSpec, blocked: Event, binding: dict[str, Event]
-    ) -> bool:
-        if negation.guard is None:
-            return True
-        guard_binding = dict(binding)
-        guard_binding[negation.inner.var] = blocked
-        try:
-            # compiled (and memoized) at plan-build time in _analyze
-            return bool(negation.guard.compile()(guard_binding))
-        except ExpressionError:
-            return False
-
     def _complete(self, plan: _SequencePlan, partial: _Partial) -> list[Event]:
         if plan.trailing:
-            deadline = partial.last_time + min(
-                n.within for n in plan.trailing if n.within is not None
-            )
-            self._pending.append(_PendingMatch(partial.binding, deadline))
+            deadline = partial.last_time + min(n.within for n in plan.trailing)
+            pending = _PendingMatch(partial.binding, deadline)
+            pending.last_time = partial.last_time
+            self._pending.append(pending)
             return []
         return [self._emit(partial.binding)]
 
@@ -672,20 +666,35 @@ class PatternOperator(Operator):
         assert time is not None
         return MatchEvent(binding, time)
 
-    def _block_pending(self, event: Event) -> None:
-        assert self._plan is not None
-        for pending in self._pending:
-            if pending.blocked:
+    def _block_pending(self, event: Event, trailing: list[_Negation]) -> None:
+        """Mark the pending matches ``event`` blocks; a negation whose own
+        conjuncts reject it touches none."""
+        timestamp = event.timestamp
+        for negation in trailing:
+            if not negation.admits(event):
                 continue
-            last_time = max(e.timestamp for e in pending.binding.values())
-            if not (last_time < event.timestamp <= pending.deadline):
-                continue
-            for negation in self._plan.trailing:
-                if negation.inner.type_name != event.type_name:
+            var, guard = negation.var, negation.guard
+            for pending in self._pending:
+                if pending.blocked or not (
+                    pending.last_time < timestamp <= pending.deadline
+                ):
                     continue
-                if self._guard_holds(negation, event, pending.binding):
+                if guard is None:
                     pending.blocked = True
-                    break
+                    continue
+                binding = pending.binding
+                shadowed = binding.get(var, _MISSING)
+                binding[var] = event
+                try:
+                    if guard(binding):
+                        pending.blocked = True
+                except ExpressionError:
+                    pass
+                finally:
+                    if shadowed is _MISSING:
+                        del binding[var]
+                    else:
+                        binding[var] = shadowed
 
     def _flush_pending(self, now: TimePoint) -> list[Event]:
         if not self._pending:

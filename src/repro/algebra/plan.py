@@ -171,8 +171,9 @@ class QueryPlan:
                 return None
         return None
 
-    def total_cost_units(self) -> float:
-        return sum(op.stats.cost_units for op in self.operators)
+    def reacts_to_time(self) -> bool:
+        """Whether a tick can matter; the router ticks only such plans."""
+        return any(op.reacts_to_time for op in self.operators)
 
     def reset_stats(self) -> None:
         for operator in self.operators:
@@ -340,8 +341,8 @@ class CombinedQueryPlan:
                     outputs.append(event)
         return outputs
 
-    def total_cost_units(self) -> float:
-        return sum(plan.total_cost_units() for plan in self.plans)
+    def reacts_to_time(self) -> bool:
+        return any(plan.reacts_to_time() for plan in self.plans)
 
     def reset_stats(self) -> None:
         for plan in self.plans:

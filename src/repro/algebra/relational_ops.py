@@ -43,7 +43,7 @@ class Filter(Operator):
                     out.append(event)
             except ExpressionError:
                 continue
-        self._account(len(events), len(out), self.unit_cost * len(events))
+        self._account(ctx, len(events), len(out), self.unit_cost * len(events))
         return out
 
 
@@ -87,5 +87,5 @@ class Projection(Operator):
                     derived_from=contributors,
                 )
             )
-        self._account(len(events), len(out), self.unit_cost * len(events))
+        self._account(ctx, len(events), len(out), self.unit_cost * len(events))
         return out

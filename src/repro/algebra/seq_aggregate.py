@@ -277,6 +277,7 @@ class PatternAggregateOperator(Operator):
     """
 
     unit_cost = 2.0
+    reacts_to_time = True
 
     def __init__(
         self,
@@ -371,7 +372,7 @@ class PatternAggregateOperator(Operator):
         out = self._emit(completed)
         state = sum(len(stage.buckets) for stage in self._stages)
         cost = self.unit_cost * len(events) + 0.1 * state
-        self._account(len(events), len(out), cost)
+        self._account(ctx, len(events), len(out), cost)
         return out
 
     def on_time_advance(self, now: TimePoint, ctx: ExecutionContext) -> list[Event]:
@@ -572,7 +573,7 @@ class MatchAggregateProjection(Operator):
         out: list[Event] = []
         for timestamp in sorted(groups):
             out.extend(self._aggregate_group(timestamp, groups[timestamp]))
-        self._account(len(events), len(out), self.unit_cost * len(events))
+        self._account(ctx, len(events), len(out), self.unit_cost * len(events))
         return out
 
     def _aggregate_group(

@@ -22,13 +22,15 @@ class ContextBitVector:
     in-order, only the most recent version is kept (Section 6.2).
     """
 
-    __slots__ = ("_names", "_index", "_bits", "time")
+    __slots__ = ("_names", "_index", "_bits", "time", "_active")
 
     def __init__(self, context_names: Iterable[str]):
         self._names = tuple(sorted(set(context_names)))
         self._index = {name: i for i, name in enumerate(self._names)}
         self._bits = 0
         self.time: TimePoint = 0
+        #: ``(bits, active names)`` of the last :meth:`active` call
+        self._active: tuple[int, tuple[str, ...]] = (0, ())
 
     @property
     def size(self) -> int:
@@ -37,7 +39,8 @@ class ContextBitVector:
 
     @property
     def names(self) -> tuple[str, ...]:
-        """Context names in bit order (alphabetical)."""
+        """Context names in bit order (alphabetical); a new tuple exactly
+        when :meth:`register` changes the layout."""
         return self._names
 
     @property
@@ -45,7 +48,8 @@ class ContextBitVector:
         """The raw bit pattern (bit ``i`` is ``names[i]``)."""
         return self._bits
 
-    def _bit(self, name: str) -> int:
+    def bit(self, name: str) -> int:
+        """The mask of ``name``'s bit in the current layout."""
         index = self._index.get(name)
         if index is None:
             raise UnknownContextError(name)
@@ -53,7 +57,7 @@ class ContextBitVector:
 
     def set(self, name: str, time: TimePoint) -> bool:
         """Set the bit for ``name``; returns True if it was previously 0."""
-        bit = self._bit(name)
+        bit = self.bit(name)
         was_clear = not self._bits & bit
         self._bits |= bit
         self.time = time
@@ -61,7 +65,7 @@ class ContextBitVector:
 
     def clear(self, name: str, time: TimePoint) -> bool:
         """Clear the bit for ``name``; returns True if it was previously 1."""
-        bit = self._bit(name)
+        bit = self.bit(name)
         was_set = bool(self._bits & bit)
         self._bits &= ~bit
         self.time = time
@@ -82,15 +86,21 @@ class ContextBitVector:
         self._bits = 0
         for n in active:
             self._bits |= 1 << self._index[n]
+        self._active = (0, ())
         return True
 
     def test(self, name: str) -> bool:
         """Constant-time lookup: does the context window currently hold?"""
-        return bool(self._bits & self._bit(name))
+        return bool(self._bits & self.bit(name))
 
     def active(self) -> tuple[str, ...]:
-        """All context names whose bit is set, in bit order."""
-        return tuple(name for name in self._names if self.test(name))
+        """All context names whose bit is set, in bit order.  Memoised by
+        bit pattern: the set changes far less often than it is read."""
+        bits = self._bits
+        if self._active[0] != bits:
+            names = tuple(n for i, n in enumerate(self._names) if bits >> i & 1)
+            self._active = (bits, names)
+        return self._active[1]
 
     def count_active(self) -> int:
         return bin(self._bits).count("1")

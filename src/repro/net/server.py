@@ -314,6 +314,8 @@ class NetServer:
                 return self._report
             self._closing = True
         if self._listener is not None:
+            # closing alone does not wake a thread blocked in accept()
+            _shutdown_read(self._listener)
             _silently_close(self._listener)
         self.sequencer.close()
         with self._conn_lock:

@@ -17,6 +17,8 @@ output, so skipping preserves semantics while avoiding the per-plan
 dispatch work.  The context-independent baseline (``context_aware=False``)
 performs neither suppression: every plan receives every batch and is
 charged for it, as a state-of-the-art context-independent engine would be.
+A dispatch table, rebuilt when a plan or the bit-vector layout changes,
+holds what does not change per batch: per plan, one live ``bits & mask``.
 """
 
 from __future__ import annotations
@@ -79,6 +81,9 @@ class ContextAwareStreamRouter:
         self.cost_by_context: dict[str, float] = {
             name: 0.0 for name in self._plans_by_context
         }
+        #: (context, plan, mask, interest set, reacts to time) for ``_layout``
+        self._table: list = []
+        self._layout: tuple[str, ...] | None = None
 
     @property
     def contexts(self) -> tuple[str, ...]:
@@ -94,13 +99,14 @@ class ContextAwareStreamRouter:
         """Install or swap the plan of one context (online deployment).
 
         Accumulated routing counters and per-context cost are preserved —
-        routing cost is charged by delta per batch, so swapping a plan
-        mid-run loses nothing.  New contexts get a zeroed cost slot and,
-        in detailed mode, their own plan timer; the interest set is read
-        live from the plan at every batch, so interest routing picks up
-        the new plan immediately.
+        routing cost is charged per batch, so swapping a plan mid-run
+        loses nothing.  New contexts get a zeroed cost slot and, in
+        detailed mode, their own plan timer; the dispatch table is
+        rebuilt at the next batch, so interest routing picks up the new
+        plan immediately.
         """
         self._plans_by_context[context_name] = plan
+        self._layout = None
         self.cost_by_context.setdefault(context_name, 0.0)
         if (
             self._plan_timers is not None
@@ -120,17 +126,35 @@ class ContextAwareStreamRouter:
         The cost slot survives — cost already spent is history, not state.
         """
         self._plans_by_context.pop(context_name, None)
+        self._layout = None
 
     def wrap_plans(self, wrap) -> None:
         """Replace every plan with ``wrap(context_name, plan)``.
 
         The supervision seam: a wrapper must preserve the plan interface
-        (``execute``/``advance_time``/``total_cost_units``/``interest_set``
+        (``execute``/``advance_time``/``interest_set``/``reacts_to_time``
         plus the state-management methods) — e.g. a fault-isolation guard
         that delegates to the original plan.
         """
         for name in self._plans_by_context:
             self._plans_by_context[name] = wrap(name, self._plans_by_context[name])
+        self._layout = None
+
+    def _dispatch_table(self, store: ContextWindowStore) -> list:
+        vector = store.vector
+        if vector.names is not self._layout:
+            aware = self.context_aware
+            self._table = [
+                (name, plan, vector.bit(name) if aware else 0,
+                 plan.interest_set(), plan.reacts_to_time())
+                for name, plan in self._plans_by_context.items()
+            ]
+            self._layout = vector.names
+        return self._table
+
+    def _charge(self, context_name: str, cost: float) -> None:
+        self.cost_units += cost
+        self.cost_by_context[context_name] += cost
 
     def route(
         self,
@@ -149,29 +173,29 @@ class ContextAwareStreamRouter:
         outputs: list[Event] = []
         context_aware = self.context_aware
         plan_timers = self._plan_timers
+        vector = store.vector
         # One pass over the batch buckets it by type; each plan then gets a
         # set-intersection test instead of a per-event scan.
         batch_types = (
             frozenset(e.type_name for e in events) if context_aware else None
         )
-        for context_name, plan in self._plans_by_context.items():
-            if context_aware and not store.is_active(context_name):
+        for context_name, plan, mask, interest, _ in self._dispatch_table(store):
+            # the live bits: a deriving plan may change them mid-call
+            if context_aware and not vector.value & mask:
                 self.batches_suppressed += 1
                 continue
-            if context_aware and batch_types.isdisjoint(plan.interest_set()):
+            if context_aware and batch_types.isdisjoint(interest):
                 self.batches_uninterested += 1
                 continue
             self.batches_routed += 1
-            before = plan.total_cost_units()
+            ctx.cost_units = 0.0
             if plan_timers is None:
                 outputs.extend(plan.execute(events, ctx))
             else:
                 outputs.extend(
                     self._timed_execute(context_name, plan, events, ctx)
                 )
-            delta = plan.total_cost_units() - before
-            self.cost_units += delta
-            self.cost_by_context[context_name] += delta
+            self._charge(context_name, ctx.cost_units)
         return outputs
 
     def _timed_execute(
@@ -203,14 +227,15 @@ class ContextAwareStreamRouter:
     def advance_time(
         self, now, store: ContextWindowStore, ctx: ExecutionContext
     ) -> list[Event]:
-        """Propagate a time tick to active plans (trailing negations)."""
+        """Propagate a time tick to the active plans that react to time
+        (trailing negations, sequence expiry, windowed aggregates); a tick
+        changes no other plan's output."""
         outputs: list[Event] = []
-        for context_name, plan in self._plans_by_context.items():
-            if self.context_aware and not store.is_active(context_name):
+        vector = store.vector
+        for context_name, plan, mask, _, timed in self._dispatch_table(store):
+            if not timed or (self.context_aware and not vector.value & mask):
                 continue
-            before = plan.total_cost_units()
+            ctx.cost_units = 0.0
             outputs.extend(plan.advance_time(now, ctx))
-            delta = plan.total_cost_units() - before
-            self.cost_units += delta
-            self.cost_by_context[context_name] += delta
+            self._charge(context_name, ctx.cost_units)
         return outputs

@@ -83,6 +83,7 @@ class EngineSession:
         self.late_events = 0
         self._state = RunState(engine, track_outputs=track_outputs)
         self._reorder = ReorderBuffer(max_delay, on_late=self._record_late)
+        self._reorder.bind_metrics(engine.observability.registry)
         #: released-but-unprocessed events, sorted by construction (the
         #: reorder buffer releases in timestamp order)
         self._pending: list[Event] = []

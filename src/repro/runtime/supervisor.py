@@ -139,7 +139,7 @@ class _GuardedPlan:
 
     Implements the plan interface the router and the engine exercise:
     ``execute`` and ``advance_time`` consult the breaker and trap
-    exceptions; everything else (``interest_set``, ``total_cost_units``,
+    exceptions; everything else (``interest_set``, ``reacts_to_time``,
     ``snapshot_state``, ``restore_state``, ``reset_state``...) delegates to
     the wrapped plan, so context history, garbage collection and
     checkpointing are oblivious to the guard.

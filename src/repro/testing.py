@@ -207,6 +207,8 @@ class FaultInjector(Operator):
     notably as an engine preprocessor.
     """
 
+    reacts_to_time = True  # it may fire on a time tick
+
     def __init__(self, inner: Operator, fault: FaultSpec):
         super().__init__(f"FAULT[{inner.name}]")
         self.inner = inner
@@ -275,6 +277,9 @@ class FaultyQueryPlan(QueryPlan):
         if self.fault.triggers([], now):
             self.fault.fire(now)
         return super().advance_time(now, ctx)
+
+    def reacts_to_time(self) -> bool:
+        return True  # it may fire on a time tick
 
     def clone(self, *, name: str | None = None) -> "FaultyQueryPlan":
         return FaultyQueryPlan(

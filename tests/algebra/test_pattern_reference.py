@@ -11,6 +11,7 @@ as a spurious match.
 """
 
 import itertools
+from types import SimpleNamespace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -513,3 +514,192 @@ class TestKeyedHistoryLifecycle:
         assert_index_consistent(reset)
         fresh = PatternOperator(spec, retention=1000)
         assert run_events(reset, suffix) == run_events(fresh, suffix)
+
+
+# ---------------------------------------------------------------------------
+# trailing negation with WITHIN
+# ---------------------------------------------------------------------------
+
+#: the end of time for a final tick: flushes every pending match
+END = 10**6
+
+#: guards of a trailing ``NOT neg``: keyed and unkeyed, with and without
+#: own conjuncts (``NEG_V.ge`` raises when ``v`` is missing, ``NEG_K + 1``
+#: when ``k`` is a string or a set)
+TRAILING_GUARDS = [
+    NEG_K.eq(attr("k", "x")),
+    conjoin([NEG_K.eq(attr("k", "x")), NEG_V.ge(2)]),
+    NEG_V.gt(attr("v", "x")),
+    NEG_V.ge(5),
+    (NEG_K + 1).gt(1),
+    And(NEG_V.ge(3), attr("k", "x").eq(NEG_K)),
+    Or(NEG_K.eq(attr("k", "x")), NEG_V.gt(8)),
+    None,
+]
+
+#: guards of a second trailing negation, over its own variable ``neg2``
+NEG2_K, NEG2_V = attr("k", "neg2"), attr("v", "neg2")
+SECOND_TRAILING_GUARDS = [
+    NEG2_V.eq(attr("v", "y")),
+    And(NEG2_K.eq(attr("k", "x")), NEG2_V.ge(4)),
+    NEG2_V.ge(4),
+    None,
+]
+
+
+def trailing_spec(positives, trailing, within):
+    """``SEQ(positives..., NOT t var [guard]...)`` all bounded by ``within``."""
+    return Sequence(
+        tuple(EventMatch(type_name, var) for type_name, var in positives)
+        + tuple(
+            NegatedSpec(EventMatch(type_name, var), guard=guard, within=within)
+            for type_name, var, guard in trailing
+        )
+    )
+
+
+def trailing_reference(events, positives, trailing, within):
+    """Matches of the positives that no trailing event blocks: an event of
+    a negated type in ``(last, last + within]`` whose guard holds."""
+    matches = reference_sequence_matches(
+        events, positives, [[] for _ in range(len(positives) + 1)]
+    )
+    kept = []
+    for binding in matches:
+        last = max(e.timestamp for e in binding.values())
+        blocked = False
+        for type_name, var, guard in trailing:
+            for event in events:
+                if event.type_name != type_name:
+                    continue
+                if not last < event.timestamp <= last + within:
+                    continue
+                guard_binding = dict(binding)
+                guard_binding[var] = event
+                try:
+                    holds = guard is None or bool(guard.evaluate(guard_binding))
+                except ExpressionError:
+                    holds = False
+                if holds:
+                    blocked = True
+                    break
+            if blocked:
+                break
+        if not blocked:
+            kept.append(binding)
+    return kept
+
+
+def run_to_end(op, events):
+    """Feed ``events`` one at a time, then tick past every deadline."""
+    out = run_events(op, events)
+    out.extend(binding_key(m.binding) for m in op.on_time_advance(END, ctx()))
+    return out
+
+
+class TestTrailingNegation:
+    @given(
+        in_order_keyed,
+        st.sampled_from(TRAILING_GUARDS),
+        st.sampled_from(["A", "C"]),
+        st.sampled_from([1, 5, 20]),
+    )
+    @settings(max_examples=250, deadline=None)
+    @example(  # the negated type is the positive type (PAM's fall_warning)
+        keyed_events(
+            [("A", 1, {"k": 1}), ("A", 4, {"k": 1, "v": 7}), ("A", 30, {})]
+        ),
+        TRAILING_GUARDS[5],
+        "A",
+        5,
+    )
+    @example(  # a later event whose guard fails leaves the block standing
+        keyed_events(
+            [("A", 0, {"v": 3}), ("C", 1, {"v": 7}), ("C", 2, {"v": 1})]
+        ),
+        TRAILING_GUARDS[2],
+        "C",
+        5,
+    )
+    def test_single_trailing_negation(self, events, guard, neg_type, within):
+        positives = [("A", "x")]
+        trailing = [(neg_type, "neg", guard)]
+        op = PatternOperator(
+            trailing_spec(positives, trailing, within), retention=1000
+        )
+        expected = trailing_reference(events, positives, trailing, within)
+        assert sorted(run_to_end(op, events)) == sorted(
+            binding_key(b) for b in expected
+        )
+
+    @given(
+        in_order_keyed,
+        st.sampled_from(TRAILING_GUARDS),
+        st.sampled_from(SECOND_TRAILING_GUARDS),
+        st.sampled_from(["B", "C"]),
+        st.sampled_from([1, 5, 20]),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(  # the first negation blocks, the second's guard fails
+        keyed_events(
+            [("A", 0, {"v": 1}), ("B", 1, {"v": 1}), ("C", 2, {"v": 2})]
+        ),
+        TRAILING_GUARDS[2],
+        SECOND_TRAILING_GUARDS[0],
+        "C",
+        5,
+    )
+    def test_two_trailing_negations(
+        self, events, guard, other_guard, other_type, within
+    ):
+        # of different types, or both of the type ``C``
+        positives = [("A", "x"), ("B", "y")]
+        trailing = [("C", "neg", guard), (other_type, "neg2", other_guard)]
+        op = PatternOperator(
+            trailing_spec(positives, trailing, within), retention=1000
+        )
+        expected = trailing_reference(events, positives, trailing, within)
+        assert sorted(run_to_end(op, events)) == sorted(
+            binding_key(b) for b in expected
+        )
+
+    @given(
+        in_order_keyed,
+        st.sampled_from(TRAILING_GUARDS),
+        st.sampled_from([1, 5, 20]),
+        st.integers(min_value=0, max_value=14),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(  # an event at the last positive's timestamp never blocks
+        keyed_events([("A", 1, {}), ("C", 1, {}), ("C", 9, {})]), None, 5, 1, True
+    )
+    def test_snapshot_restore_mid_pending(
+        self, events, guard, within, split, legacy
+    ):
+        prefix, suffix = events[:split], events[split:]
+        spec = trailing_spec([("A", "x")], [("C", "neg", guard)], within)
+        uninterrupted = PatternOperator(spec, retention=1000)
+        run_events(uninterrupted, prefix)
+        expected = run_to_end(uninterrupted, suffix)
+
+        original = PatternOperator(spec, retention=1000)
+        run_events(original, prefix)
+        snapshot = original.snapshot_state()
+        if legacy:
+            # a snapshot taken before pending matches stored ``last_time``
+            snapshot = dict(snapshot)
+            snapshot["pending"] = [
+                SimpleNamespace(
+                    binding=p.binding, deadline=p.deadline, blocked=p.blocked
+                )
+                for p in snapshot["pending"]
+            ]
+        restored = PatternOperator(spec, retention=1000)
+        restored.restore_state(snapshot)
+        assert restored.state_size() == original.state_size()
+        assert run_to_end(restored, suffix) == expected
+        # the snapshot is a copy: the original can run on and rewind to it
+        assert run_to_end(original, suffix) == expected
+        original.restore_state(snapshot)
+        assert run_to_end(original, suffix) == expected

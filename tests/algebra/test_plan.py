@@ -89,7 +89,7 @@ class TestQueryPlan:
         plan = simple_plan()
         plan.execute([ev(1, n=5)], make_ctx(active=["c1"]))
         clone = plan.clone()
-        assert clone.total_cost_units() == 0
+        assert all(op.stats.cost_units == 0 for op in clone.operators)
         assert clone.state_size() == 0
         assert [op.name for op in clone.operators] == [
             op.name for op in plan.operators
@@ -108,7 +108,7 @@ class TestQueryPlan:
         plan.reset_state()
         assert plan.state_size() == 0
         plan.reset_stats()
-        assert plan.total_cost_units() == 0
+        assert all(op.stats.cost_units == 0 for op in plan.operators)
 
     def test_clone_unknown_operator_rejected(self):
         class Strange(PatternOperator.__bases__[0]):  # Operator
@@ -190,4 +190,6 @@ class TestCombinedQueryPlan:
         )
         clone = combined.clone()
         assert len(clone.plans) == len(combined.plans)
-        assert clone.total_cost_units() == 0
+        assert all(
+            op.stats.cost_units == 0 for p in clone.plans for op in p.operators
+        )

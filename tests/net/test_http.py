@@ -2,6 +2,7 @@
 
 import json
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -159,6 +160,14 @@ class TestHealthz:
         front.shutdown()
 
 
+def metric_value(text, name):
+    """The value of an unlabelled sample in Prometheus exposition text."""
+    for line in text.splitlines():
+        if line.startswith(f"{name} "):
+            return float(line.rpartition(" ")[2])
+    raise AssertionError(f"/metrics missing {name}")
+
+
 class TestMetrics:
     def test_prometheus_text_exposes_service_and_net_families(self):
         service, front, base = start_front()
@@ -182,5 +191,36 @@ class TestMetrics:
             name, _, value = line.rpartition(" ")
             assert name, line
             float(value)  # valid exposition: parseable sample value
+        service.stop()
+        front.shutdown()
+
+    def test_reorder_buffer_families_after_a_reordered_feed(self):
+        scenario = get_scenario("threshold")
+        engine = CaesarEngine(
+            scenario.build_model(),
+            partition_by=scenario.partition_by,
+            retention=scenario.retention,
+        )
+        service = EngineService(engine, on_emit=lambda e: None, max_delay=10)
+        front = HttpFrontEnd(service, types=scenario_types("threshold"))
+        host, port = front.start()
+        base = f"http://{host}:{port}"
+        # 20 then 15 is reordered within the bound; 2 is late (watermark 10)
+        lines = [event_line(t, 5) for t in (0, 20, 15, 2, 40)]
+        status, result = post_events(base, "\n".join(lines) + "\n")
+        assert (status, result["accepted"]) == (200, 5)
+        # the feeder thread pushes the events asynchronously; the last
+        # push (40) leaves one event held, newer than the watermark (30)
+        deadline = time.monotonic() + 30
+        while True:
+            text = urllib.request.urlopen(f"{base}/metrics", timeout=30).read()
+            text = text.decode("utf-8")
+            held = metric_value(text, "caesar_reorder_pending")
+            late = metric_value(text, "caesar_reorder_late_total")
+            if (held, late) == (1, 1) or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert (held, late) == (1, 1)
+        assert metric_value(text, "caesar_reorder_reordered_total") == 1
         service.stop()
         front.shutdown()

@@ -214,6 +214,9 @@ class TestProtocolEnforcement:
         assert server._rejected["parse"].value == 1
         assert server._rejected["oversized"].value == 1
         assert server._rejected["unknown-op"].value == 1
+        # the reader holds the descriptor too: close both, or the server
+        # never sees EOF and waits out the drain grace
+        reader.close()
         sock.close()
         server.shutdown(drain=True)
 
