@@ -22,7 +22,7 @@ The two are equivalent, including :class:`ExpressionError` behaviour
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import ExpressionError
 from repro.events.event import Event
@@ -381,6 +381,17 @@ def attr(name: str, var: str = SELF_VAR) -> AttrRef:
 def const(value: Any) -> Constant:
     """Shorthand for :class:`Constant`."""
     return Constant(value)
+
+
+def all_hold(predicates: Iterable[Callable[[Binding], Any]], binding: Binding) -> bool:
+    """Whether every compiled predicate holds; a raise counts as false."""
+    try:
+        for predicate in predicates:
+            if not predicate(binding):
+                return False
+    except ExpressionError:
+        return False
+    return True
 
 
 def conjuncts(expr: Expr) -> list[Expr]:

@@ -60,7 +60,9 @@ def clone_operator(operator: Operator) -> Operator:
     if isinstance(operator, Projection):
         return Projection(operator.event_type, operator.items)
     if isinstance(operator, PatternOperator):
-        return PatternOperator(operator.spec, retention=operator.retention)
+        return PatternOperator(
+            operator.spec, where=operator.where, retention=operator.retention
+        )
     if isinstance(operator, PatternAggregateOperator):
         return PatternAggregateOperator(
             operator.spec,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.algebra.aggregate import MatchAggregate
-from repro.algebra.expressions import Binding, Expr, conjuncts
+from repro.algebra.expressions import Binding, Expr, all_hold, conjuncts
 from repro.algebra.operators import ExecutionContext, Operator
 from repro.algebra.pattern import (
     EventMatch,
@@ -46,7 +46,7 @@ from repro.algebra.pattern import (
     Sequence,
     flatten_sequence,
 )
-from repro.errors import ExpressionError, PlanError
+from repro.errors import PlanError
 from repro.events.event import Event
 from repro.events.timebase import TimeInterval, TimePoint
 from repro.events.types import EventType
@@ -395,7 +395,8 @@ class PatternAggregateOperator(Operator):
         for k, positive in enumerate(positives):
             if positive.type_name != type_name:
                 continue
-            if not self._admissible(k, event):
+            predicates = self._stage_preds[k]
+            if predicates and not all_hold(predicates, {positive.var: event}):
                 continue
             extended = self._extend(k, event, timestamp)
             if extended is None:
@@ -409,19 +410,6 @@ class PatternAggregateOperator(Operator):
                     done.merge(extended)
             else:
                 self._stages[k + 1].insert(extended, timestamp)
-
-    def _admissible(self, k: int, event: Event) -> bool:
-        predicates = self._stage_preds[k]
-        if not predicates:
-            return True
-        binding = {self._vars[k]: event}
-        for predicate in predicates:
-            try:
-                if not predicate(binding):
-                    return False
-            except ExpressionError:
-                return False
-        return True
 
     def _extend(
         self, k: int, event: Event, timestamp: TimePoint

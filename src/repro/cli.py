@@ -505,13 +505,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.api import EngineConfig, create_engine
     from repro.difftest.scenarios import get_scenario
-    from repro.net import (
-        HttpFrontEnd,
-        NetServer,
-        TypeResolver,
-        encode_event,
-        scenario_types,
-    )
+    from repro.net import NetServer, TypeResolver, encode_event, scenario_types
     from repro.runtime.service import EngineService
 
     scenario = get_scenario(args.scenario)
@@ -570,6 +564,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 # no subscription channel: emissions go to stdout
                 emit_sinks.append(emit_stdout)
             if args.http:
+                from repro.net.http import HttpFrontEnd
+
                 host, port = _parse_hostport(args.http)
                 front = HttpFrontEnd(
                     service,

@@ -42,11 +42,11 @@ from repro.runtime.shedding import SheddingConfig, event_value_key
 
 #: The shedding configuration every ``shed`` run uses.  A tight latency
 #: target against a modest cost rate, so the controller builds real
-#: pressure on the difftest streams; ``record_decisions`` keeps the shed
-#: identity set the protected-subset projection filters by.
+#: pressure on all three difftest streams; ``record_decisions`` keeps the
+#: shed identity set the protected-subset projection filters by.
 DIFF_SHED_CONFIG = SheddingConfig(
     latency_target=1.0,
-    cost_rate=5.0,
+    cost_rate=4.0,
     seed=1299827,
     record_decisions=True,
 )

@@ -11,14 +11,13 @@ that protocol and puts it on the network:
   backpressure via TCP flow control, emission subscriptions, graceful
   drain;
 * :mod:`repro.net.http` — the HTTP front end
-  (:class:`~repro.net.http.HttpFrontEnd`): ``POST /events``,
-  ``GET /healthz``, ``GET /metrics``;
+  (:class:`~repro.net.http.HttpFrontEnd`, imported on first use: it costs
+  MBs of RSS): ``POST /events``, ``GET /healthz``, ``GET /metrics``;
 * :mod:`repro.net.client` — :class:`~repro.net.client.ServeClient`,
   a thin producer/subscriber client.
 """
 
 from repro.net.client import ServeClient, ServeClientError
-from repro.net.http import HttpFrontEnd
 from repro.net.protocol import (
     DEFAULT_MAX_LINE_BYTES,
     LineReader,
@@ -50,3 +49,11 @@ __all__ = [
     "parse_line",
     "scenario_types",
 ]
+
+
+def __getattr__(name: str):
+    if name == "HttpFrontEnd":
+        from repro.net.http import HttpFrontEnd
+
+        return HttpFrontEnd
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -107,8 +107,10 @@ class HttpFrontEnd:
         self._thread: threading.Thread | None = None
 
     def start(self) -> tuple[str, int]:
+        # shutdown() waits for the loop's next poll: 50 ms, not the 0.5 s default
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            args=(0.05,),
             name="caesar-net-http",
             daemon=True,
         )
@@ -123,10 +125,10 @@ class HttpFrontEnd:
     def shutdown(self) -> None:
         """Stop serving HTTP.  Does not stop the service — the owner
         (``repro serve`` or the TCP server) does that exactly once."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
+        if self._thread is not None:  # shutdown() waits for a running loop
+            self._httpd.shutdown()
             self._thread.join(timeout=5.0)
+        self._httpd.server_close()
 
     # ------------------------------------------------------------------
     # route bodies (called from handler threads)

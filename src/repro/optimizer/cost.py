@@ -81,6 +81,8 @@ class CostModel:
         if isinstance(operator, MatchAggregateProjection):
             return self.aggregate_selectivity
         if isinstance(operator, PatternOperator):
+            if operator.where is not None:  # it absorbed the WHERE filter
+                return self.pattern_selectivity * self.filter_selectivity
             return self.pattern_selectivity
         if isinstance(operator, Filter):
             return self.filter_selectivity

@@ -15,6 +15,9 @@ WHERE θ               ``FL_θ``
 CONTEXT c             ``CW_c``
 ====================  =========================
 
+A SEQ's ``P`` evaluates the ``WHERE`` conjuncts it can place itself
+(:func:`~repro.algebra.pattern.place_where`); ``FL_θ`` gets only the rest.
+
 The *initial* (non-optimized) plan places the context window above the
 filter, as in Figure 6(a); the optimizer's push-down moves it to the bottom
 (Figure 6(b)).  A query belonging to several contexts yields one plan per
@@ -31,7 +34,7 @@ from repro.algebra.context_ops import (
     ContextWindowOperator,
 )
 from repro.algebra.operators import Operator
-from repro.algebra.pattern import PatternOperator
+from repro.algebra.pattern import PatternOperator, place_where
 from repro.algebra.plan import CombinedQueryPlan, QueryPlan
 from repro.algebra.relational_ops import Filter, Projection
 from repro.algebra.seq_aggregate import (
@@ -84,9 +87,7 @@ def build_query_plan(
                 and online_aggregation_supported(query.pattern, query.where)
             ),
         )
-    operators: list[Operator] = [PatternOperator(query.pattern, retention=retention)]
-    if query.where is not None:
-        operators.append(Filter(query.where))
+    operators = _matching_operators(query, retention)
     if with_context_window:
         operators.append(ContextWindowOperator(context))
     if query.action is QueryAction.DERIVE:
@@ -139,15 +140,20 @@ def _build_aggregate_plan(
         if with_context_window:
             operators.append(ContextWindowOperator(context))
     else:
-        operators = [PatternOperator(query.pattern, retention=retention)]
-        if query.where is not None:
-            operators.append(Filter(query.where))
+        operators = _matching_operators(query, retention)
         if with_context_window:
             operators.append(ContextWindowOperator(context))
         operators.append(MatchAggregateProjection((output,)))
     return QueryPlan(
         operators, name=f"{query.name}@{context}", context_name=context
     )
+
+
+def _matching_operators(query: EventQuery, retention: TimePoint) -> list[Operator]:
+    """``P`` with the ``WHERE`` conjuncts it places, ``FL`` for the rest."""
+    placed, rest = place_where(query.pattern, query.where)
+    pattern = PatternOperator(query.pattern, where=placed, retention=retention)
+    return [pattern] if rest is None else [pattern, Filter(rest)]
 
 
 def build_plans_for_queries(

@@ -29,8 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Format marker so stored checkpoints fail loudly across versions.
 #: Version 2 added the engine configuration flags (``context_aware``,
-#: ``optimize``), which the restore verifies structurally.
-CHECKPOINT_VERSION = 2
+#: ``optimize``), which the restore verifies structurally.  Version 3: SEQ
+#: plans evaluate ``WHERE`` in the pattern, with no ``Filter`` slot.
+CHECKPOINT_VERSION = 3
 
 
 def capture_checkpoint(engine: "CaesarEngine") -> dict:

@@ -224,3 +224,47 @@ class TestMetrics:
         assert metric_value(text, "caesar_reorder_reordered_total") == 1
         service.stop()
         front.shutdown()
+
+
+class TestShutdown:
+    def test_shutdown_is_prompt_and_stops_the_accept_thread(self):
+        """The accept loop polls every 50 ms; with the stdlib's 0.5 s
+        ``serve_forever`` default this shutdown would take about 0.45 s."""
+        service, front, base = start_front()
+        try:
+            assert get(f"{base}/healthz")[0] == 200
+            time.sleep(0.05)
+            started = time.perf_counter()
+            front.shutdown()
+            assert time.perf_counter() - started < 0.3
+            assert not front._thread.is_alive()
+            with socket.socket() as probe:
+                assert probe.connect_ex(front.address) != 0
+        finally:
+            service.stop()
+
+    def test_shutdown_without_start(self):
+        service = build_service()
+        front = HttpFrontEnd(service)
+        front.shutdown()
+        service.stop()
+
+
+def test_line_protocol_imports_no_http_stack():
+    """The HTTP stack loads only when an HTTP front end is asked for."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, repro, repro.net.protocol, repro.runtime.service\n"
+        "assert 'http.server' not in sys.modules, 'eager http.server'\n"
+        "assert 'repro.net.http' not in sys.modules\n"
+        "from repro.net import HttpFrontEnd\n"
+        "assert HttpFrontEnd.__module__ == 'repro.net.http'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)

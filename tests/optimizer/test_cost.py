@@ -8,7 +8,7 @@ from repro.algebra.context_ops import (
     ContextWindowOperator,
 )
 from repro.algebra.expressions import attr
-from repro.algebra.pattern import EventMatch, PatternOperator
+from repro.algebra.pattern import EventMatch, PatternOperator, Sequence
 from repro.algebra.plan import QueryPlan
 from repro.algebra.relational_ops import Filter, Projection
 from repro.events.types import EventType
@@ -32,6 +32,19 @@ class TestCostModel:
         model = CostModel()
         assert model.selectivity(Filter(attr("n").gt(1))) == 0.5
         assert model.selectivity(Projection(OUT, [("n", attr("n"))])) == 1.0
+
+    def test_pattern_owning_where_attenuates_like_pattern_then_filter(self):
+        """A SEQ that evaluates its WHERE while matching passes on what a
+        pattern followed by a filter did, so estimates above it hold."""
+        model = CostModel()
+        spec = Sequence((EventMatch("A", "a"), EventMatch("B", "b")))
+        where = attr("n", "b").gt(attr("n", "a"))
+        owning = PatternOperator(spec, where=where)
+        plain = PatternOperator(spec)
+        assert model.selectivity(owning) == pytest.approx(
+            model.selectivity(plain) * model.selectivity(Filter(where))
+        )
+        assert model.unit_cost(owning) == model.unit_cost(plain)
 
     def test_window_selectivity_from_activity(self):
         model = CostModel(context_activity={"busy": 0.9, "rare": 0.1})

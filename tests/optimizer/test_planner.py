@@ -7,14 +7,21 @@ from repro.algebra.context_ops import (
     ContextTermination,
     ContextWindowOperator,
 )
-from repro.algebra.pattern import PatternOperator
+from repro.algebra.expressions import attr, conjoin, const
+from repro.algebra.pattern import EventMatch, NegatedSpec, PatternOperator, Sequence
 from repro.algebra.relational_ops import Filter, Projection
+from repro.core.queries import EventQuery, QueryAction
+from repro.errors import PlanError
+from repro.events.types import EventType
 from repro.language import parse_query
 from repro.optimizer.planner import (
     build_combined_plans,
     build_plans_for_queries,
     build_query_plan,
 )
+
+
+OUT = EventType.define("PlannerOut", v="int")
 
 
 def op_types(plan):
@@ -98,6 +105,78 @@ class TestPlansForQueries:
         plans = build_plans_for_queries([query])
         assert [p.context_name for p in plans] == ["c1", "c2"]
         assert [p.name for p in plans] == ["q@c1", "q@c2"]
+
+
+class TestWherePlacement:
+    """A SEQ evaluates the WHERE conjuncts over its named positive
+    variables while matching; only the others stay in a Filter."""
+
+    def test_seq_owns_its_where_and_drops_the_filter(self):
+        query = parse_query(
+            "DERIVE Breakout(a.sec, b.sec) "
+            "PATTERN SEQ(Tick a, NOT Tick n, Tick b) "
+            "WHERE a.volume > 800 AND b.volume > 900 AND b.price > a.price "
+            "AND n.volume > 950 CONTEXT volatile",
+            name="breakout",
+        )
+        plan = build_query_plan(query, "volatile")
+        assert op_types(plan) == [
+            "PatternOperator", "ContextWindowOperator", "Projection",
+        ]
+        assert str(plan.operators[0].where) == str(query.where)
+        # a clone keeps the placed conjuncts
+        assert plan.clone().operators[0].where == query.where
+
+    def test_unplaceable_conjuncts_stay_in_the_filter(self):
+        query = EventQuery(
+            name="q",
+            action=QueryAction.DERIVE,
+            pattern=Sequence((
+                EventMatch("A", "a"),
+                NegatedSpec(EventMatch("C", "n")),
+                EventMatch("B", "b"),
+            )),
+            where=conjoin([
+                attr("v", "a").gt(1),
+                const(1).lt(2),
+                attr("v").gt(0),
+                attr("v", "n").gt(0),
+                attr("v", "b").gt(attr("v", "a")),
+            ]),
+            derive_type=OUT,
+            derive_items=(("v", attr("v", "a")),),
+        )
+        pattern, filter_op = build_query_plan(query, "c").operators[:2]
+        assert str(pattern.where) == "((a.v > 1) AND (b.v > a.v))"
+        assert isinstance(filter_op, Filter)
+        assert str(filter_op.predicate) == "(((1 < 2) AND (v > 0)) AND (n.v > 0))"
+
+    def test_event_match_keeps_pattern_then_filter(self):
+        query = parse_query(
+            "DERIVE X(a.n) PATTERN A a WHERE a.n > 1 CONTEXT c", name="q"
+        )
+        pattern, filter_op = build_query_plan(query, "c").operators[:2]
+        assert pattern.where is None
+        assert isinstance(filter_op, Filter)
+
+    def test_materialized_aggregate_places_its_where(self):
+        query = parse_query(
+            "DERIVE N(COUNT(*)) PATTERN SEQ(A a, NOT C n, B b) "
+            "WHERE b.v > a.v CONTEXT c",
+            name="q",
+        )
+        plan = build_query_plan(query, "c", aggregation="materialize")
+        assert op_types(plan) == [
+            "PatternOperator", "ContextWindowOperator",
+            "MatchAggregateProjection",
+        ]
+
+    def test_pattern_operator_refuses_unplaceable_where(self):
+        spec = Sequence((EventMatch("A", "a"), EventMatch("B", "b")))
+        with pytest.raises(PlanError, match="Filter"):
+            PatternOperator(spec, where=attr("v").gt(1))
+        with pytest.raises(PlanError, match="Filter"):
+            PatternOperator(EventMatch("A", "a"), where=attr("v", "a").gt(1))
 
 
 class TestCombinedPlans:

@@ -151,6 +151,20 @@ class TestCheckpointValidation:
         with pytest.raises(RuntimeEngineError, match="version"):
             restore_checkpoint(engine, {"version": 99})
 
+    def test_version_2_checkpoint_refused(self):
+        """Version 2 plans ran every SEQ's WHERE in a Filter above the
+        pattern: their snapshots map onto other operators and may hold
+        partials the placed conjuncts would never have stored."""
+        session = EngineSession(CaesarEngine(build_model()))
+        session.feed([reading(t * 10, v) for t, v in enumerate(VALUES[:4])])
+        checkpoint = capture_checkpoint(session.engine)
+        assert checkpoint["version"] == 3
+        checkpoint["version"] = 2
+        with pytest.raises(
+            RuntimeEngineError, match="unsupported checkpoint version: 2"
+        ):
+            restore_checkpoint(CaesarEngine(build_model()), checkpoint)
+
     def test_context_set_checked(self):
         engine = CaesarEngine(build_model())
         checkpoint = capture_checkpoint(engine)
